@@ -1,9 +1,10 @@
 //! # bx-bench
 //!
-//! Shared workload builders for the criterion benches. Each bench target
-//! regenerates one row/series of the experiment index in the workspace's
-//! EXPERIMENTS.md (E1–E10); this crate keeps the workload construction
-//! out of the measurement loops.
+//! Shared workload builders for the criterion benches in `benches/`
+//! (run with `cargo bench -p bx-bench`); this crate keeps the workload
+//! construction out of the measurement loops. The end-to-end numbers of
+//! the commit, restore and serve paths come from the repository
+//! benchmark instead: `BENCHMARK.json` and the `perfbench/` package.
 
 use std::collections::BTreeMap;
 

@@ -310,10 +310,11 @@ pub(crate) struct Manifest {
 }
 
 /// The on-disk shape of `checkpoint.json`: the [`Manifest`] body plus a
-/// trailing `crc32` of the body's canonical serialisation. The checksum
-/// field is optional on read — manifests written before it existed are
-/// accepted as-is (legacy tolerance); a *present but wrong* checksum is
-/// real corruption and surfaces as [`RepoError::CorruptManifest`].
+/// trailing `crc32` of the body's bytes (see [`manifest_json`]). The
+/// checksum field is optional on read — manifests written before it
+/// existed are accepted as-is (legacy tolerance); a *present but wrong*
+/// checksum is real corruption and surfaces as
+/// [`RepoError::CorruptManifest`].
 #[derive(Debug, Deserialize)]
 struct ManifestDisk {
     log: String,
@@ -338,10 +339,9 @@ pub fn manifests_parsed() -> u64 {
 
 /// The exact `checkpoint.json` bytes for `manifest`: the canonical body
 /// JSON with a `crc32` field over the body bytes spliced in as the
-/// trailing key. Readers recompute the body from the parsed manifest
-/// (the serialiser is deterministic — fixed field order, sorted maps, no
-/// floats), so any flipped byte that survives JSON parsing fails the
-/// checksum comparison.
+/// trailing key. Readers checksum the file text before that key plus
+/// the closing `}` — exactly the body written — so any flipped byte that
+/// survives JSON parsing fails the checksum comparison.
 pub(crate) fn manifest_json(manifest: &Manifest) -> Result<String, RepoError> {
     let body = serde_json::to_string(manifest)
         .map_err(|e| RepoError::Persist(format!("cannot serialise manifest: {e}")))?;
@@ -631,19 +631,6 @@ impl EventLogBackend {
         Ok(crate::event::replay_parallel(base, events, &pool))
     }
 
-    /// [`EventLogBackend::read_state_in`] with explicit
-    /// [`crate::runtime::RestoreOptions`], for call-site symmetry with
-    /// [`EventLogBackend::restore_dir_with`]. The manifest is one JSON
-    /// document parsed in a single pass, so there is nothing to fan out;
-    /// the options select behaviour only in the functions that go on to
-    /// read the generation's events.
-    pub fn read_state_in_with(
-        dir: &Path,
-        _options: crate::runtime::RestoreOptions,
-    ) -> Result<(RepositorySnapshot, String), RepoError> {
-        Self::read_state_in(dir)
-    }
-
     /// [`EventLogBackend::read_generation_events`] with a thread budget:
     /// parallel when `options.threads > 1`, the sequential oracle
     /// otherwise.
@@ -771,18 +758,18 @@ impl EventLogBackend {
         if !path.exists() {
             return Ok(None);
         }
-        let json = std::fs::read_to_string(path).map_err(io_err)?;
+        let mut json = std::fs::read_to_string(path).map_err(io_err)?;
         let disk: ManifestDisk = serde_json::from_str(&json)
             .map_err(|e| RepoError::Persist(format!("corrupt checkpoint manifest: {e}")))?;
         MANIFESTS_PARSED.with(|c| c.set(c.get() + 1));
-        let manifest = Manifest {
-            log: disk.log,
-            state: disk.state,
-        };
         if let Some(stored) = disk.crc32 {
-            let body = serde_json::to_string(&manifest)
-                .map_err(|e| RepoError::Persist(format!("cannot serialise manifest: {e}")))?;
-            let computed = crate::binlog::crc32(body.as_bytes());
+            // `manifest_json` spliced the checksum in as the body's last
+            // key, so the body is the text before that key plus `}`.
+            if let Some(at) = json.rfind(",\"crc32\":") {
+                json.truncate(at);
+                json.push('}');
+            }
+            let computed = crate::binlog::crc32(json.as_bytes());
             if computed != stored {
                 return Err(RepoError::CorruptManifest {
                     dir: dir.display().to_string(),
@@ -791,7 +778,10 @@ impl EventLogBackend {
                 });
             }
         }
-        Ok(Some(manifest))
+        Ok(Some(Manifest {
+            log: disk.log,
+            state: disk.state,
+        }))
     }
 
     fn log_path(&self) -> PathBuf {

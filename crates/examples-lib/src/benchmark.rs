@@ -3,9 +3,9 @@
 //! be seen as a distinct class and therefore should be included").
 //!
 //! The entry packages deterministic, scale-parameterised workload
-//! generators for the COMPOSERS models; the bench harness (crate
-//! `bx-bench`) uses them to regenerate the scaling series in
-//! EXPERIMENTS.md.
+//! generators for the COMPOSERS models; the criterion benches of crate
+//! `bx-bench` (`cargo bench -p bx-bench`) use them for their scaling
+//! series.
 
 use bx_core::{ArtefactKind, ExampleEntry, ExampleType};
 

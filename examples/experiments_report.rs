@@ -1,7 +1,9 @@
-//! Regenerates the verification side of EXPERIMENTS.md: for every
-//! executable entry in the collection, the law matrix and the verdict on
-//! each published property claim — the paper's §4 Properties list as a
-//! machine-checked table.
+//! The verification report of the collection: for every executable
+//! entry, the law matrix and the verdict on each published property
+//! claim — the paper's §4 Properties list as a machine-checked table.
+//! (Performance numbers come from the criterion benches in
+//! `crates/bench` and the repository benchmark, `BENCHMARK.json` and
+//! `perfbench/`.)
 //!
 //! Run with: `cargo run --example experiments_report`
 

@@ -1,15 +1,16 @@
 //! All three `StorageBackend` implementations round-trip the standard
 //! repository — via checkpoint, via pure delta recording, and mixed —
 //! and the auto-compaction policy keeps the event log O(1) generations
-//! deep without changing the restored state.
+//! deep without changing the restored state. A byte-flip sweep pins the
+//! checkpoint manifest's integrity contract.
 
 use bx::core::storage::{
     AutoCompactingEventLog, CompactionPolicy, DurabilityMode, EventLogBackend, JsonFileBackend,
     MemoryBackend, StorageBackend,
 };
-use bx::core::{EntryId, Repository};
+use bx::core::{EntryId, RepoError, Repository};
 use bx::examples::standard_repository;
-use bx_testkit::ops::unique_temp_dir;
+use bx_testkit::ops::{scripted_repository, unique_temp_dir, valid_entry, AUTHOR};
 
 #[test]
 fn all_backends_roundtrip_the_standard_repository() {
@@ -209,5 +210,51 @@ fn event_log_survives_process_style_reopen_between_batches() {
         .comments
         .iter()
         .any(|c| c.text == "second process"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_flipped_manifest_byte_is_rejected_or_harmless() {
+    let dir = unique_temp_dir("manifest-flips");
+    let repo = scripted_repository();
+    // Multi-byte characters and escapes on both sides of the body.
+    repo.contribute(AUTHOR, valid_entry("CAFÉ", "Naïve \"round\" trips 😀\\ok"))
+        .unwrap();
+    let mut backend = EventLogBackend::open(&dir).unwrap();
+    backend.checkpoint(&repo.snapshot()).unwrap();
+    drop(backend);
+
+    let manifest = dir.join("checkpoint.json");
+    let original = std::fs::read(&manifest).unwrap();
+    let expected = EventLogBackend::read_state_in(&dir).unwrap();
+    assert_eq!(expected.0, repo.snapshot());
+
+    let mut flips = [0usize; 3]; // corrupt manifest, parse error, harmless
+    for at in 0..original.len() {
+        for mask in [0x01, 0x20, 0x80] {
+            let mut bytes = original.clone();
+            bytes[at] ^= mask;
+            std::fs::write(&manifest, &bytes).unwrap();
+            match EventLogBackend::read_state_in(&dir) {
+                Err(RepoError::CorruptManifest { .. }) => flips[0] += 1,
+                Err(RepoError::Persist(_)) => flips[1] += 1,
+                Ok(state) => {
+                    assert_eq!(
+                        state, expected,
+                        "flip {mask:#04x} at byte {at} read back a different state"
+                    );
+                    flips[2] += 1;
+                }
+                Err(other) => panic!("flip {mask:#04x} at byte {at}: unexpected {other:?}"),
+            }
+        }
+    }
+    assert!(flips[0] > 0 && flips[1] > 0, "{flips:?}");
+
+    // A checksum-less manifest from an older writer still opens.
+    let text = String::from_utf8(original).unwrap();
+    let at = text.rfind(",\"crc32\":").unwrap();
+    std::fs::write(&manifest, format!("{}}}", &text[..at])).unwrap();
+    assert_eq!(EventLogBackend::read_state_in(&dir).unwrap(), expected);
     std::fs::remove_dir_all(&dir).ok();
 }
