@@ -6,10 +6,10 @@
 //! gap is the argument for the long-lived `ReplicaDaemon` over
 //! open-per-request serving.
 //!
-//! The `shared_runtime` rows push the fan-in to 64+ sources on ONE
-//! bounded [`Runtime`] pool — cold open plus a full daemon catch-up
-//! cycle with per-source durability writers reporting through the
-//! unified health channel — the deployment shape the runtime tier
+//! At 64 sources the cold open is measured once more, and the
+//! `shared_runtime` row runs a full daemon catch-up cycle on ONE bounded
+//! [`Runtime`] pool with per-source durability writers reporting through
+//! the unified health channel — the deployment shape the runtime tier
 //! exists for (dozens of tenants, thread count = pool width).
 
 use std::path::PathBuf;
@@ -55,26 +55,6 @@ fn bench_federation(c: &mut Criterion) {
             |b, sources| b.iter(|| Federation::open("fed", sources.clone()).expect("opens")),
         );
 
-        // The parallel cold open: every source tailed as one pool job,
-        // merged replay and derived rebuild sharded over the same pool.
-        // Acceptance bar on a multi-core host: the 8-source row ≥ 3× the
-        // sequential cold open. On a single-core host the two rows
-        // measure the same work plus pool overhead and stay ~equal.
-        group.bench_with_input(
-            BenchmarkId::new("cold_open_parallel_t8", n_sources),
-            &sources,
-            |b, sources| {
-                b.iter(|| {
-                    Federation::open_with(
-                        "fed",
-                        sources.clone(),
-                        bx_core::RestoreOptions::with_threads(8),
-                    )
-                    .expect("opens")
-                })
-            },
-        );
-
         let mut federation = Federation::open("fed", sources.clone()).expect("opens");
         group.bench_with_input(BenchmarkId::new("idle_poll", n_sources), &(), |b, ()| {
             b.iter(|| {
@@ -109,11 +89,9 @@ fn bench_federation(c: &mut Criterion) {
         let runtime = Runtime::named("bx-bench-fed", 8);
 
         group.bench_with_input(
-            BenchmarkId::new("shared_runtime_cold_open", n_sources),
+            BenchmarkId::new("cold_open", n_sources),
             &sources,
-            |b, sources| {
-                b.iter(|| Federation::open_on("fed", sources.clone(), &runtime).expect("opens"))
-            },
+            |b, sources| b.iter(|| Federation::open("fed", sources.clone()).expect("opens")),
         );
 
         // One daemon catch-up cycle per iteration, with every source
@@ -132,7 +110,7 @@ fn bench_federation(c: &mut Criterion) {
                 ))
             })
             .collect();
-        let federation = Federation::open_on("fed", sources.clone(), &runtime).expect("opens");
+        let federation = Federation::open("fed", sources.clone()).expect("opens");
         let daemon = ReplicaDaemon::spawn_on(
             federation,
             DaemonConfig {

@@ -9,15 +9,6 @@
 //! through the format-aware [`EventLogBackend::restore_dir`] a restart
 //! actually runs. The binary format's acceptance bar is ≥ 3× the JSONL
 //! events/s; current numbers live in the README's backend table.
-//!
-//! The `-t<n>` rows restore the same directories through the parallel
-//! pipeline ([`EventLogBackend::restore_dir_with`]) at 1/2/4/8 worker
-//! threads: chunked (JSONL) or per-segment (binary) decode, then sharded
-//! replay. On a multi-core host the 8-thread binary row's bar is ≥ 2.5×
-//! the sequential binary row; on a single-core host (like this repo's CI
-//! container) every thread count measures the same work and the rows
-//! converge — that convergence is itself the `threads: 1 == sequential`
-//! sanity check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -114,28 +105,6 @@ fn bench_log_restore(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("binary-cold", N), &(), |b, _| {
         b.iter_with_large_drop(|| EventLogBackend::restore_dir(&binary).expect("restores"))
     });
-    // The parallel pipeline at fixed thread counts, both formats.
-    for threads in [1usize, 2, 4, 8] {
-        let options = bx_core::RestoreOptions::with_threads(threads);
-        group.bench_with_input(
-            BenchmarkId::new(format!("jsonl-cold-t{threads}"), N),
-            &(),
-            |b, _| {
-                b.iter_with_large_drop(|| {
-                    EventLogBackend::restore_dir_with(&jsonl, options).expect("restores")
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("binary-cold-t{threads}"), N),
-            &(),
-            |b, _| {
-                b.iter_with_large_drop(|| {
-                    EventLogBackend::restore_dir_with(&binary, options).expect("restores")
-                })
-            },
-        );
-    }
     group.finish();
     std::fs::remove_dir_all(&base).ok();
 }

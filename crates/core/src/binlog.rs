@@ -756,52 +756,6 @@ pub(crate) fn read_generation(dir: &Path, generation: &str) -> Result<Vec<RepoEv
         .unwrap_or_default())
 }
 
-/// [`read_generation`] fanned out across a worker pool: one job per
-/// segment file (sealed segments are immutable and CRC-framed, so they
-/// decode independently; only the last segment may carry a torn tail).
-/// Results are spliced back in segment order, and an error surfaces as
-/// the first offending `(segment, offset)` **in log order** regardless of
-/// which worker finished first — bit-identical to the sequential read on
-/// every input, corrupt or clean. Returns the events plus the global byte
-/// offset consumed (torn tail excluded), the same contract as
-/// `read_tail(dir, generation, 0)`.
-pub(crate) fn read_generation_parallel(
-    dir: &Path,
-    generation: &str,
-    pool: &crate::runtime::WorkerPool,
-) -> Result<(Vec<RepoEvent>, u64), RepoError> {
-    let segments = segment_files(dir, generation)?;
-    if segments.is_empty() {
-        return Ok((Vec::new(), 0));
-    }
-    let last = segments.len() - 1;
-    type SegmentRead = Result<(Vec<RepoEvent>, usize), RepoError>;
-    let jobs: Vec<Box<dyn FnOnce() -> SegmentRead + Send>> = segments
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let path = dir.join(name);
-            let name = name.clone();
-            let last_segment = i == last;
-            Box::new(move || -> SegmentRead {
-                let buf = std::fs::read(&path).map_err(io_err)?;
-                read_segment(&buf, &name, last_segment, 0)
-            }) as Box<dyn FnOnce() -> SegmentRead + Send>
-        })
-        .collect();
-    let mut events = Vec::new();
-    let mut consumed = 0u64;
-    for result in pool.scatter(jobs) {
-        // Ordered gather: the first failing segment in log order wins.
-        // A sealed segment either decodes fully or errors, so summing
-        // per-segment consumption equals the sequential global offset.
-        let (mut decoded, local_end) = result?;
-        events.append(&mut decoded);
-        consumed += local_end as u64;
-    }
-    Ok((events, consumed))
-}
-
 /// The generation name to assume for a directory with no checkpoint
 /// manifest: binary if generation-0 binary segments exist, else the
 /// JSONL default (which also covers a completely fresh directory).
@@ -863,50 +817,6 @@ pub fn corrupt_frame_bytes() -> Vec<u8> {
 /// round-trip property (JSONL → binary → JSONL restores identically)
 /// is tested over generated op scripts in `tests/logconv_roundtrip.rs`.
 pub fn convert_log_dir(src: &Path, dst: &Path, to_binary: bool) -> Result<usize, RepoError> {
-    convert_log_dir_with(
-        src,
-        dst,
-        to_binary,
-        crate::runtime::RestoreOptions::sequential(),
-    )
-}
-
-/// [`convert_log_dir`] with the source decode fanned out over
-/// [`crate::runtime::RestoreOptions::threads`] workers — what the
-/// `bx_logconv` CLI uses, so a whole federation's source set converts on
-/// all cores. Decode order, the converted bytes and which error a
-/// corrupt source surfaces are identical to the sequential conversion.
-pub fn convert_log_dir_with(
-    src: &Path,
-    dst: &Path,
-    to_binary: bool,
-    options: crate::runtime::RestoreOptions,
-) -> Result<usize, RepoError> {
-    if !options.is_parallel() {
-        return convert_log_dir_pooled(src, dst, to_binary, None);
-    }
-    let pool = crate::runtime::WorkerPool::new(options.threads);
-    convert_log_dir_pooled(src, dst, to_binary, Some(&pool))
-}
-
-/// [`convert_log_dir_with`] on a shared [`Runtime`](crate::runtime::Runtime)'s
-/// pool instead of a pool of its own — batch conversions become one more
-/// tenant of a node's bounded worker set.
-pub fn convert_log_dir_on(
-    src: &Path,
-    dst: &Path,
-    to_binary: bool,
-    runtime: &std::sync::Arc<crate::runtime::Runtime>,
-) -> Result<usize, RepoError> {
-    convert_log_dir_pooled(src, dst, to_binary, Some(runtime.pool()))
-}
-
-fn convert_log_dir_pooled(
-    src: &Path,
-    dst: &Path,
-    to_binary: bool,
-    pool: Option<&crate::runtime::WorkerPool>,
-) -> Result<usize, RepoError> {
     if dst.exists() {
         let occupied = std::fs::read_dir(dst)
             .map_err(|e| RepoError::Persist(e.to_string()))?
@@ -920,10 +830,7 @@ fn convert_log_dir_pooled(
         }
     }
     let (base, generation) = EventLogBackend::read_state_in(src)?;
-    let events = match pool {
-        Some(pool) => EventLogBackend::read_generation_events_pooled(src, &generation, pool)?,
-        None => EventLogBackend::read_generation_events(src, &generation)?,
-    };
+    let events = EventLogBackend::read_generation_events(src, &generation)?;
     let mut target: Box<dyn StorageBackend> = if to_binary {
         Box::new(BinaryLogBackend::open(dst)?)
     } else {

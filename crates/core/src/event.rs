@@ -19,8 +19,7 @@
 //! because the vendored serde stand-in derives only unit and newtype
 //! variants.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -243,189 +242,13 @@ pub fn apply_event(state: &mut RepositorySnapshot, event: &RepoEvent) {
     }
 }
 
-/// Fold a whole event sequence over a base snapshot.
-///
-/// This sequential fold is the **oracle**: [`replay_parallel`] is
-/// property-tested to produce bit-identical snapshots.
+/// Fold a whole event sequence over a base snapshot: [`apply_event`]
+/// per event, in log order. Every backend's restore runs this fold.
 pub fn replay(mut base: RepositorySnapshot, events: &[RepoEvent]) -> RepositorySnapshot {
     for event in events {
         apply_event(&mut base, event);
     }
     base
-}
-
-/// Apply one *per-entry* event to that entry's record slot — the same
-/// transition [`apply_event`] performs on `state.records[id]`, expressed
-/// over an owned `Option<EntryRecord>` so a shard worker can fold an
-/// entry's events without holding the whole snapshot. `None` stays `None`
-/// for events on a missing entry (a hand-truncated log), exactly as
-/// [`apply_event`] ignores them. Account events
-/// (`Founded`/`Registered`/`RoleGranted`) are not per-entry and must not
-/// reach this function.
-fn apply_to_record(slot: &mut Option<EntryRecord>, event: &RepoEvent) {
-    match event {
-        RepoEvent::Contributed(d) => {
-            *slot = Some(EntryRecord {
-                status: EntryStatus::Provisional,
-                history: vec![d.entry.clone()],
-            });
-        }
-        RepoEvent::Revised(d) => {
-            if let Some(record) = slot {
-                record.history.push(d.entry.clone());
-                record.status = EntryStatus::Provisional;
-            }
-        }
-        RepoEvent::Approved(d) => {
-            if let Some(record) = slot {
-                record.history.push(d.entry.clone());
-                record.status = EntryStatus::Approved;
-            }
-        }
-        RepoEvent::Commented(c) => {
-            if let Some(record) = slot {
-                if let Some(latest) = record.history.last_mut() {
-                    latest.comments.push(c.comment.clone());
-                }
-            }
-        }
-        RepoEvent::ReviewRequested(_) => {
-            if let Some(record) = slot {
-                record.status = EntryStatus::UnderReview;
-            }
-        }
-        RepoEvent::ChangesRequested(_) => {
-            if let Some(record) = slot {
-                record.status = EntryStatus::Provisional;
-            }
-        }
-        RepoEvent::Founded(_) | RepoEvent::Registered(_) | RepoEvent::RoleGranted(_) => {
-            unreachable!("account events are barriers, never sharded")
-        }
-    }
-}
-
-/// Fold one barrier-free run of per-entry events (`range` into `events`)
-/// into `state.records`, sharding entries across the pool. Each distinct
-/// entry's events fold on exactly one worker, in log order, so the
-/// per-entry result is identical to the sequential fold; entries commute
-/// (per-entry events touch only their own record), so the merged map is
-/// identical too.
-/// One entry's slice of a shard: the id, its record moved out of the
-/// snapshot (`None` if the log never materialised it), and the indices
-/// of its events within the run.
-type ShardEntry = (EntryId, Option<EntryRecord>, Vec<usize>);
-/// What a shard job hands back: each entry with its folded record.
-type FoldedShard = Vec<(EntryId, Option<EntryRecord>)>;
-
-fn fold_run_sharded(
-    state: &mut RepositorySnapshot,
-    events: &Arc<Vec<RepoEvent>>,
-    range: std::ops::Range<usize>,
-    pool: &crate::runtime::WorkerPool,
-) {
-    let mut buckets: BTreeMap<EntryId, Vec<usize>> = BTreeMap::new();
-    for idx in range {
-        let id = events[idx]
-            .touched()
-            .expect("runs contain only per-entry events");
-        buckets.entry(id.clone()).or_default().push(idx);
-    }
-    if buckets.is_empty() {
-        return;
-    }
-    // Move each touched entry's record out of the snapshot and chunk the
-    // entries into one shard per worker.
-    let shard_count = pool.threads().min(buckets.len());
-    let per_shard = buckets.len().div_ceil(shard_count);
-    let mut shards: Vec<Vec<ShardEntry>> = vec![Vec::new(); shard_count];
-    for (i, (id, idxs)) in buckets.into_iter().enumerate() {
-        let record = state.records.remove(&id);
-        shards[i / per_shard].push((id, record, idxs));
-    }
-    let jobs: Vec<Box<dyn FnOnce() -> FoldedShard + Send>> = shards
-        .into_iter()
-        .map(|shard| {
-            let events = Arc::clone(events);
-            Box::new(move || {
-                shard
-                    .into_iter()
-                    .map(|(id, mut record, idxs)| {
-                        for idx in idxs {
-                            apply_to_record(&mut record, &events[idx]);
-                        }
-                        (id, record)
-                    })
-                    .collect::<Vec<_>>()
-            }) as Box<dyn FnOnce() -> FoldedShard + Send>
-        })
-        .collect();
-    for (id, record) in pool.scatter(jobs).into_iter().flatten() {
-        // `None` means the events never materialised the entry (e.g. a
-        // revise in a hand-truncated log) — the sequential fold would
-        // have left the map without it too.
-        if let Some(record) = record {
-            state.records.insert(id, record);
-        }
-    }
-}
-
-/// [`replay`], partitioned across a [`crate::runtime::WorkerPool`]:
-/// per-entry events route to their entry's shard and fold concurrently;
-/// account events (`Founded`/`Registered`/`RoleGranted`) are **ordered
-/// barriers** — every run of per-entry events before a barrier completes
-/// before the barrier applies, preserving the sequential semantics
-/// exactly. With a 1-thread pool this degrades to the sequential
-/// [`replay`].
-///
-/// Bit-identical to `replay(base, &events)` on every input: per-entry
-/// events touching distinct entries commute, each entry folds in log
-/// order on one worker, and barriers are the only events that read or
-/// write shared state (`name`, `accounts`).
-pub fn replay_parallel(
-    base: RepositorySnapshot,
-    events: Vec<RepoEvent>,
-    pool: &crate::runtime::WorkerPool,
-) -> RepositorySnapshot {
-    replay_parallel_with(base, events, pool, apply_event)
-}
-
-/// [`replay_parallel`] with the barrier application swapped out — a
-/// [`crate::replica::Federation`] folds *namespaced* events whose
-/// `Founded` barrier must not adopt the source repository's name, so it
-/// passes its own barrier function. Per-entry runs shard identically
-/// either way (the two barrier functions only differ on account events,
-/// which are always barriers).
-pub(crate) fn replay_parallel_with(
-    base: RepositorySnapshot,
-    events: Vec<RepoEvent>,
-    pool: &crate::runtime::WorkerPool,
-    apply_barrier: fn(&mut RepositorySnapshot, &RepoEvent),
-) -> RepositorySnapshot {
-    if pool.threads() <= 1 {
-        let mut state = base;
-        for event in &events {
-            apply_barrier(&mut state, event);
-        }
-        return state;
-    }
-    let mut state = base;
-    let events = Arc::new(events);
-    let mut run_start = 0usize;
-    for i in 0..=events.len() {
-        let at_barrier = i == events.len() || events[i].touched().is_none();
-        if !at_barrier {
-            continue;
-        }
-        if i > run_start {
-            fold_run_sharded(&mut state, &events, run_start..i, pool);
-        }
-        if i < events.len() {
-            apply_barrier(&mut state, &events[i]);
-        }
-        run_start = i + 1;
-    }
-    state
 }
 
 /// The set of entries whose *rendered pages* a batch of events dirties —
@@ -518,56 +341,6 @@ mod tests {
             let back: RepoEvent = serde_json::from_str(&json).expect("events deserialise");
             assert_eq!(back, event);
         }
-    }
-
-    /// A history interleaving account barriers with per-entry bursts
-    /// folds identically through the sharded parallel replay.
-    #[test]
-    fn replay_parallel_matches_sequential() {
-        let r = Repository::found("bx", vec![Principal::curator("c")]);
-        r.register(Principal::member("alice")).unwrap();
-        r.register(Principal::member("bob")).unwrap();
-        let mut ids = Vec::new();
-        for i in 0..7 {
-            ids.push(
-                r.contribute("alice", entry(&format!("ENTRY NUMBER {i}"), "alice"))
-                    .unwrap(),
-            );
-        }
-        r.grant_role("c", "bob", Role::Reviewer).unwrap(); // barrier mid-stream
-        for (i, id) in ids.iter().enumerate() {
-            r.comment("bob", id, "2014-03-28", &format!("comment {i}"))
-                .unwrap();
-            r.revise("alice", id, entry(&format!("ENTRY NUMBER {i}"), "alice"))
-                .unwrap();
-        }
-        r.request_review("alice", &ids[0]).unwrap();
-        r.approve("bob", &ids[0]).unwrap();
-        let events = r.drain_events();
-
-        let sequential = replay(RepositorySnapshot::empty(""), &events);
-        for threads in [1, 2, 4, 8] {
-            let pool = crate::runtime::WorkerPool::new(threads);
-            let parallel = replay_parallel(RepositorySnapshot::empty(""), events.clone(), &pool);
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    /// Orphan per-entry events (hand-truncated log) are ignored by both
-    /// folds identically.
-    #[test]
-    fn replay_parallel_tolerates_gaps() {
-        let id = EntryId::from_title("GHOST");
-        let orphans = vec![
-            RepoEvent::Revised(EntryDelta {
-                id: id.clone(),
-                entry: entry("GHOST", "a"),
-            }),
-            RepoEvent::ReviewRequested(EntryRef { id }),
-        ];
-        let pool = crate::runtime::WorkerPool::new(4);
-        let out = replay_parallel(RepositorySnapshot::empty("bx"), orphans, &pool);
-        assert!(out.records.is_empty());
     }
 
     #[test]

@@ -142,19 +142,6 @@ impl SearchIndex {
         self.remove(id);
     }
 
-    /// Merge a partial index covering a *disjoint* set of entries into
-    /// this one — the gather step of the parallel derived-state rebuild
-    /// ([`crate::replica::Replica::open_with`]), where each worker
-    /// indexes its own shard of entries. With disjoint entry sets the
-    /// result is exactly the index of the union (both maps key on terms
-    /// and entry ids, so disjoint inserts cannot collide).
-    pub(crate) fn absorb(&mut self, other: SearchIndex) {
-        for (term, posting) in other.postings {
-            self.postings.entry(term).or_default().extend(posting);
-        }
-        self.terms_of.extend(other.terms_of);
-    }
-
     /// Replace (or first-index) one entry's postings.
     fn upsert(&mut self, id: &EntryId, entry: &ExampleEntry) {
         self.remove(id);

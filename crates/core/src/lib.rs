@@ -27,9 +27,9 @@
 //!   wiki site; [`replica::Federation`] fans N independent primaries into
 //!   one namespaced merged node, and [`replica::ReplicaDaemon`] polls it
 //!   on a background thread with clean start/stop and lag stats;
-//! * [`runtime`] — the shared worker pool behind the parallel restore
-//!   pipeline (chunked decode, sharded replay, parallel derived-state
-//!   rebuild), sized by the machine's available parallelism;
+//! * [`runtime`] — the shared background runtime: one worker pool, timer
+//!   wheel and health channel that the durability writer, replica
+//!   daemon, compaction and lint run on;
 //! * [`cite`] — citation formats for entries and the repository (§5.2);
 //! * [`index`] — keyword search with type/property filters (§5.2
 //!   findability);
@@ -80,8 +80,8 @@ pub use replica::{
 };
 pub use repo::{EntryId, Repository};
 pub use runtime::{
-    ComponentHealth, HealthReport, HealthSink as RuntimeHealthSink, PoolStats, RestoreOptions,
-    Runtime, RuntimeHealth, SerialTask, TimerTask, WeakSerialTask, WorkerPool,
+    ComponentHealth, HealthReport, HealthSink as RuntimeHealthSink, PoolStats, Runtime,
+    RuntimeHealth, SerialTask, TimerTask, WeakSerialTask, WorkerPool,
 };
 pub use storage::{
     AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, DurabilityMode,

@@ -73,19 +73,19 @@ use bx_theory::Bx;
 
 use crate::cite;
 use crate::error::RepoError;
-use crate::event::{apply_event, dirty_set, replay, replay_parallel_with, EventSink, RepoEvent};
+use crate::event::{apply_event, replay, EventSink, RepoEvent};
 use crate::index::SearchIndex;
 use crate::manuscript::{export_manuscript, ManuscriptOptions};
 use crate::principal::Principal;
 use crate::repo::{EntryId, EntryRecord, RepositorySnapshot};
-use crate::runtime::{HealthReport, RestoreOptions, Runtime, RuntimeHealth, TimerTask, WorkerPool};
+use crate::runtime::{HealthReport, Runtime, RuntimeHealth, TimerTask};
 use crate::storage::EventLogBackend;
 use crate::supervise::{
     RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus, SourceSupervisor,
 };
 use crate::template::slug_of;
 use crate::version::Version;
-use crate::wiki::{render_entry, WikiSite};
+use crate::wiki::WikiSite;
 use crate::wiki_bx::WikiBx;
 
 /// What one [`Replica::catch_up`] call did.
@@ -245,33 +245,6 @@ impl LogTail {
         Ok(Some((events, offset + intact_end as u64)))
     }
 
-    /// [`Self::read_tail`] at offset 0 with the parse fanned out over
-    /// `pool`: the whole file is read once and its complete lines decode
-    /// in newline-aligned chunks. Identical contract to
-    /// `read_tail(path, 0)` — a torn trailing fragment stays unconsumed
-    /// (unlike a primary's own recovery, a tail never adopts a
-    /// half-written line), an absent file is an unwritten generation, and
-    /// the first corrupt line *in log order* is the one reported.
-    fn read_tail_parallel(
-        path: &Path,
-        pool: &WorkerPool,
-    ) -> Result<(Vec<RepoEvent>, u64), RepoError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(RepoError::Persist(e.to_string())),
-        };
-        let text = Arc::new(text);
-        let intact_end = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        let events = EventLogBackend::parse_jsonl_parallel(
-            &text,
-            intact_end,
-            &crate::storage::segment_name(path),
-            pool,
-        )?;
-        Ok((events, intact_end as u64))
-    }
-
     /// [`Self::read_tail`] dispatched on the generation's on-disk format:
     /// JSONL tails one line-oriented file, binary tails the generation's
     /// segment run by global byte offset ([`crate::binlog::read_tail`]).
@@ -289,48 +262,11 @@ impl LogTail {
         }
     }
 
-    /// [`Self::read_generation_tail`], decoding on `pool` when the read
-    /// starts from the beginning of the generation (the cold-open /
-    /// re-base case, where the whole log must be decoded anyway). A
-    /// nonzero offset is an incremental tail — typically a handful of
-    /// fresh events — and stays on the sequential path.
-    fn read_generation_tail_pooled(
-        &self,
-        offset: u64,
-        pool: Option<&WorkerPool>,
-    ) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
-        if let Some(pool) = pool {
-            if offset == 0 {
-                if crate::binlog::is_binary_generation(&self.generation) {
-                    return crate::binlog::read_generation_parallel(
-                        &self.dir,
-                        &self.generation,
-                        pool,
-                    )
-                    .map(Some);
-                }
-                return Self::read_tail_parallel(&self.dir.join(&self.generation), pool).map(Some);
-            }
-        }
-        self.read_generation_tail(offset)
-    }
-
     /// Observe the log's current durable end. Within a generation this
     /// reads only the bytes appended since the last poll (polling an
     /// unchanged log is a metadata check); across a checkpoint it reports
     /// the new base to re-base onto. Safe to call at any cadence.
     pub fn poll(&mut self) -> Result<TailProgress, RepoError> {
-        self.poll_with(None)
-    }
-
-    /// [`LogTail::poll`] with whole-generation decodes fanned out over
-    /// `pool` — the cold-open path of [`Replica::open_with`] and
-    /// [`Federation::open_with`]. Only reads that start at the beginning
-    /// of a generation parallelise; incremental polls of a live tail are
-    /// small and stay sequential. Observed behaviour is identical to
-    /// [`LogTail::poll`] in every case, including which error a corrupt
-    /// log surfaces.
-    pub fn poll_with(&mut self, pool: Option<&WorkerPool>) -> Result<TailProgress, RepoError> {
         let mut progress = TailProgress::default();
         if !self.dir.exists() {
             if self.observed() {
@@ -375,7 +311,7 @@ impl LogTail {
                 progress.rebased = true;
             }
         }
-        match self.read_generation_tail_pooled(self.offset, pool)? {
+        match self.read_generation_tail(self.offset)? {
             Some((events, new_offset)) => {
                 self.applied += events.len();
                 self.offset = new_offset;
@@ -386,9 +322,7 @@ impl LogTail {
                 // beyond torn-tail repair). Rolling individual events
                 // back is not possible; re-base onto what the directory
                 // actually holds.
-                let (all, end) = self
-                    .read_generation_tail_pooled(0, pool)?
-                    .unwrap_or((Vec::new(), 0));
+                let (all, end) = self.read_generation_tail(0)?.unwrap_or((Vec::new(), 0));
                 let (base, _) = EventLogBackend::read_state_in(&self.dir)?;
                 self.applied = all.len();
                 self.offset = end;
@@ -399,116 +333,6 @@ impl LogTail {
         }
         Ok(progress)
     }
-}
-
-// == Parallel cold open ==
-//
-// The sequential cold open builds its derived state in two strokes: the
-// initial `fwd(base, empty)` gives every base entry's page its first
-// revision, then one batched `sync_changed` over the tailed events'
-// dirty set gives each dirty page its (at most one) second revision —
-// `set_page` dedups unchanged content. Both strokes are per-entry and
-// entries' pages are distinct, so the parallel open reproduces them
-// per-entry on the pool and the result is byte-for-byte identical:
-// render every base record (revision one), replay, then per final
-// record index its latest version and render it again iff dirty.
-// `tests/restore_parallel.rs` pins this equivalence over random
-// histories.
-
-/// Split `ids` into at most `shards` contiguous chunks of near-equal
-/// size (none empty). Contiguity keeps the gather deterministic: shard
-/// outputs concatenate back in id order.
-fn shard_ids(ids: Vec<EntryId>, shards: usize) -> Vec<Vec<EntryId>> {
-    if ids.is_empty() {
-        return Vec::new();
-    }
-    let per = ids.len().div_ceil(shards.max(1));
-    ids.chunks(per).map(<[EntryId]>::to_vec).collect()
-}
-
-/// Render the pages of `ids` (present in `snapshot`) across the pool,
-/// returning `(page name, content)` pairs in id order.
-fn render_pages_parallel(
-    snapshot: &Arc<RepositorySnapshot>,
-    ids: Vec<EntryId>,
-    pool: &WorkerPool,
-) -> Vec<(String, String)> {
-    type Rendered = Vec<(String, String)>;
-    let jobs: Vec<Box<dyn FnOnce() -> Rendered + Send>> = shard_ids(ids, pool.threads())
-        .into_iter()
-        .map(|shard| {
-            let snapshot = Arc::clone(snapshot);
-            Box::new(move || {
-                shard
-                    .iter()
-                    .map(|id| {
-                        let record = &snapshot.records[id];
-                        (id.page_name(), render_entry(record.latest()))
-                    })
-                    .collect()
-            }) as Box<dyn FnOnce() -> Rendered + Send>
-        })
-        .collect();
-    pool.scatter(jobs).into_iter().flatten().collect()
-}
-
-/// Rebuild the search index and wiki site of a cold open on the pool:
-/// `base_pages` are the pre-replay renders (each page's first revision),
-/// every record of `final_snapshot` is indexed from its latest version,
-/// and `dirty` pages are re-rendered from the final state (their second
-/// revision, deduped away when the content did not change). Equals the
-/// sequential open's `SearchIndex::build` + incremental applies and
-/// `fwd` + `sync_changed` exactly; see the section comment above.
-fn derived_parallel(
-    base_pages: Vec<(String, String)>,
-    final_snapshot: &Arc<RepositorySnapshot>,
-    dirty: BTreeSet<EntryId>,
-    pool: &WorkerPool,
-) -> (SearchIndex, WikiSite) {
-    let ids: Vec<EntryId> = final_snapshot.records.keys().cloned().collect();
-    let dirty = Arc::new(dirty);
-    type Partial = (SearchIndex, Vec<(String, String)>);
-    let jobs: Vec<Box<dyn FnOnce() -> Partial + Send>> = shard_ids(ids, pool.threads())
-        .into_iter()
-        .map(|shard| {
-            let snapshot = Arc::clone(final_snapshot);
-            let dirty = Arc::clone(&dirty);
-            Box::new(move || {
-                let mut index = SearchIndex::default();
-                let mut pages = Vec::new();
-                for id in &shard {
-                    let record = &snapshot.records[id];
-                    index.upsert_entry(id, record.latest());
-                    if dirty.contains(id) {
-                        pages.push((id.page_name(), render_entry(record.latest())));
-                    }
-                }
-                (index, pages)
-            }) as Box<dyn FnOnce() -> Partial + Send>
-        })
-        .collect();
-    let partials = pool.scatter(jobs);
-    let mut index = SearchIndex::default();
-    let mut site = WikiSite::new();
-    // Base renders first: they are each page's first revision.
-    for (page, content) in base_pages {
-        site.set_page(&page, content);
-    }
-    for (partial, pages) in partials {
-        index.absorb(partial);
-        for (page, content) in pages {
-            site.set_page(&page, content);
-        }
-    }
-    (index, site)
-}
-
-/// Reclaim a snapshot shared with pool jobs. [`WorkerPool::scatter`]
-/// returns only after every job has run to completion (dropping its
-/// `Arc` clone), so the unwrap succeeds; the clone fallback is pure
-/// belt-and-braces.
-fn unshare(snapshot: Arc<RepositorySnapshot>) -> RepositorySnapshot {
-    Arc::try_unwrap(snapshot).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// A read replica of one event-log directory; see the module docs.
@@ -556,52 +380,11 @@ impl Replica {
         Ok(replica)
     }
 
-    /// [`Replica::open`] with decode, replay and derived-state rebuild
-    /// fanned out over [`RestoreOptions::threads`] workers. With
-    /// `threads: 1` this *is* [`Replica::open`] (no pool is created);
-    /// with more, the snapshot, index and site of a quiescent directory
-    /// are byte-for-byte what the sequential open produces, including
-    /// which error a corrupt log surfaces
-    /// (`tests/restore_parallel.rs`).
-    pub fn open_with(
-        dir: impl Into<PathBuf>,
-        options: RestoreOptions,
-    ) -> Result<Replica, RepoError> {
-        let dir = dir.into();
-        if !options.is_parallel() {
-            return Self::open(dir);
-        }
-        let pool = WorkerPool::new(options.threads);
-        Self::open_pooled(dir, &pool)
-    }
-
-    /// [`Replica::open_with`] on a shared [`Runtime`]'s pool instead of
-    /// a pool of its own — the cold-open path for nodes that host many
-    /// replicas on one bounded set of workers.
-    pub fn open_on(dir: impl Into<PathBuf>, runtime: &Arc<Runtime>) -> Result<Replica, RepoError> {
-        Self::open_pooled(dir.into(), runtime.pool())
-    }
-
-    fn open_pooled(dir: PathBuf, pool: &WorkerPool) -> Result<Replica, RepoError> {
-        let (mut tail, base) = LogTail::open(dir)?;
-        let mut progress = tail.poll_with(Some(pool))?;
-        // A checkpoint racing the open lands as a new base on the first
-        // poll, exactly as in the sequential open's first catch-up.
-        let base = Arc::new(progress.new_base.take().unwrap_or(base));
-        let events = std::mem::take(&mut progress.events);
-        let dirty = dirty_set(&events);
-        let base_ids: Vec<EntryId> = base.records.keys().cloned().collect();
-        let base_pages = render_pages_parallel(&base, base_ids, pool);
-        let snapshot = Arc::new(crate::event::replay_parallel(unshare(base), events, pool));
-        let (index, site) = derived_parallel(base_pages, &snapshot, dirty, pool);
-        Ok(Replica {
-            tail,
-            bx: WikiBx::new(),
-            snapshot: unshare(snapshot),
-            index,
-            site,
-            observers: Vec::new(),
-        })
+    /// Exactly [`Replica::open`]: cold opens are sequential and `_runtime`
+    /// is unused. An alias kept for existing callers; new code calls
+    /// `open`.
+    pub fn open_on(dir: impl Into<PathBuf>, _runtime: &Arc<Runtime>) -> Result<Replica, RepoError> {
+        Self::open(dir)
     }
 
     /// Subscribe a sink to the replicated stream. The sink is backfilled
@@ -983,100 +766,15 @@ impl Federation {
         Ok(())
     }
 
-    /// [`Federation::open`] with the N sources tailed **concurrently**:
-    /// each source's open-and-decode runs as one pool job (source-level
-    /// parallelism — a nested scatter from inside a job would run
-    /// inline, so per-source decode stays a single sequential job), then
-    /// the merged replay and derived-state rebuild fan out over the same
-    /// pool. With `threads: 1` this *is* [`Federation::open`]. On
-    /// quiescent directories the merged snapshot, index and site are
-    /// byte-for-byte the sequential open's; a failing source surfaces
-    /// the same error the sequential open would (the first in source
-    /// order), though sources listed after it will already have been
-    /// read.
-    pub fn open_with(
-        name: &str,
-        sources: Vec<(SourceId, PathBuf)>,
-        options: RestoreOptions,
-    ) -> Result<Federation, RepoError> {
-        if !options.is_parallel() {
-            return Self::open(name, sources);
-        }
-        let pool = WorkerPool::new(options.threads);
-        Self::open_pooled(name, sources, &pool)
-    }
-
-    /// [`Federation::open_with`] on a shared [`Runtime`]'s pool instead
-    /// of a pool of its own — the cold-open path for nodes that host
-    /// many federations (or federations of many sources) on one bounded
-    /// set of workers.
+    /// Exactly [`Federation::open`]: cold opens are sequential and
+    /// `_runtime` is unused. An alias kept for existing callers; new code
+    /// calls `open`.
     pub fn open_on(
         name: &str,
         sources: Vec<(SourceId, PathBuf)>,
-        runtime: &Arc<Runtime>,
+        _runtime: &Arc<Runtime>,
     ) -> Result<Federation, RepoError> {
-        Self::open_pooled(name, sources, runtime.pool())
-    }
-
-    fn open_pooled(
-        name: &str,
-        sources: Vec<(SourceId, PathBuf)>,
-        pool: &WorkerPool,
-    ) -> Result<Federation, RepoError> {
-        Self::validate_sources(&sources)?;
-        type Opened = Result<(LogTail, RepositorySnapshot, Vec<RepoEvent>), RepoError>;
-        let jobs: Vec<Box<dyn FnOnce() -> Opened + Send>> = sources
-            .iter()
-            .map(|(_, dir)| {
-                let dir = dir.clone();
-                Box::new(move || -> Opened {
-                    let (mut tail, base) = LogTail::open(dir)?;
-                    let mut progress = tail.poll()?;
-                    let base = progress.new_base.take().unwrap_or(base);
-                    Ok((tail, base, progress.events))
-                }) as Box<dyn FnOnce() -> Opened + Send>
-            })
-            .collect();
-        let mut tails = Vec::with_capacity(sources.len());
-        let mut bases = Vec::with_capacity(sources.len());
-        let mut events: Vec<RepoEvent> = Vec::new();
-        for ((source, _), opened) in sources.iter().zip(pool.scatter(jobs)) {
-            // Ordered gather: the first failing source in source order
-            // reports, as it would sequentially.
-            let (tail, base, tailed) = opened?;
-            events.extend(tailed.iter().map(|e| namespace_event(source, e)));
-            tails.push((source.clone(), tail));
-            bases.push((source.clone(), base));
-        }
-        let base = Arc::new(federate_snapshots(name, &bases));
-        drop(bases);
-        let dirty = dirty_set(&events);
-        let base_ids: Vec<EntryId> = base.records.keys().cloned().collect();
-        let base_pages = render_pages_parallel(&base, base_ids, pool);
-        // The federated replay keeps the federation's own name: `Founded`
-        // barriers register a source's curators without adopting its
-        // repository name.
-        let snapshot = Arc::new(replay_parallel_with(
-            unshare(base),
-            events,
-            pool,
-            apply_federated,
-        ));
-        let (index, site) = derived_parallel(base_pages, &snapshot, dirty, pool);
-        let supervisors = tails.iter().map(|_| SourceSupervisor::default()).collect();
-        Ok(Federation {
-            name: name.to_string(),
-            sources: tails,
-            supervisors,
-            retry: RetryPolicy::default(),
-            recovery: RecoveryPolicy::default(),
-            health: None,
-            bx: WikiBx::new(),
-            snapshot: unshare(snapshot),
-            index,
-            site,
-            observers: Vec::new(),
-        })
+        Self::open(name, sources)
     }
 
     /// The federation's own name (kept regardless of what the source
@@ -2230,7 +1928,7 @@ mod tests {
         std::fs::remove_dir_all(&dir_b).ok();
     }
 
-    // == parallel cold open ==
+    // == cold open ==
 
     /// A directory with enough texture to exercise every rebuild path:
     /// checkpointed base entries, post-checkpoint contributions,
@@ -2275,82 +1973,51 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replica_open_matches_sequential_exactly() {
-        let (dir, r) = textured_dir("par-open");
-        let sequential = Replica::open(&dir).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let parallel = Replica::open_with(&dir, RestoreOptions::with_threads(threads)).unwrap();
-            assert_eq!(
-                parallel.snapshot(),
-                sequential.snapshot(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.index(), sequential.index(), "{threads} threads");
-            assert_eq!(parallel.site(), sequential.site(), "{threads} threads");
-            assert_eq!(
-                parallel.position(),
-                sequential.position(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.snapshot(), &r.snapshot());
-        }
+    fn replica_open_of_a_textured_directory_equals_the_primary() {
+        let (dir, r) = textured_dir("textured-open");
+        let replica = Replica::open(&dir).unwrap();
+        assert_eq!(replica.snapshot(), &r.snapshot());
+        assert_eq!(replica.index(), &SearchIndex::build(&r.snapshot()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn parallel_federation_open_matches_sequential_exactly() {
-        let (dir_a, _) = textured_dir("par-fed-a");
-        let (dir_b, _) = textured_dir("par-fed-b");
-        let sources = vec![
-            (SourceId::new("a"), dir_a.clone()),
-            (SourceId::new("b"), dir_b.clone()),
-        ];
-        let sequential = Federation::open("fed", sources.clone()).unwrap();
-        for threads in [1, 4] {
-            let parallel = Federation::open_with(
-                "fed",
-                sources.clone(),
-                RestoreOptions::with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(parallel.name(), sequential.name());
-            assert_eq!(
-                parallel.snapshot(),
-                sequential.snapshot(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.index(), sequential.index(), "{threads} threads");
-            assert_eq!(parallel.site(), sequential.site(), "{threads} threads");
-            assert_eq!(
-                parallel.positions(),
-                sequential.positions(),
-                "{threads} threads"
-            );
-        }
-        std::fs::remove_dir_all(&dir_a).ok();
-        std::fs::remove_dir_all(&dir_b).ok();
+    /// Corrupt `dir`'s tailed generation with a complete, unparseable
+    /// line: appended at the end, or put before every event.
+    fn vandalise(dir: &Path, at_start: bool) {
+        let (_, generation) = EventLogBackend::read_state_in(dir).unwrap();
+        let log = dir.join(&generation);
+        let text = std::fs::read_to_string(&log).unwrap();
+        let line = "{\"Vandalised\":true}\n";
+        let text = if at_start {
+            format!("{line}{text}")
+        } else {
+            format!("{text}{line}")
+        };
+        std::fs::write(&log, text).unwrap();
     }
 
     #[test]
-    fn parallel_federation_open_surfaces_the_first_corrupt_source() {
-        let (dir_a, _) = textured_dir("par-fed-bad-a");
-        let (dir_b, _) = textured_dir("par-fed-bad-b");
-        // Corrupt b's tailed generation (a complete, unparseable line).
-        let (_, generation) = EventLogBackend::read_state_in(&dir_b).unwrap();
-        let log = dir_b.join(&generation);
-        let mut text = std::fs::read_to_string(&log).unwrap();
-        text.push_str("{\"Vandalised\":true}\n");
-        std::fs::write(&log, text).unwrap();
-        let sources = vec![
-            (SourceId::new("a"), dir_a.clone()),
-            (SourceId::new("b"), dir_b.clone()),
-        ];
-        let sequential = Federation::open("fed", sources.clone()).unwrap_err();
-        let parallel =
-            Federation::open_with("fed", sources, RestoreOptions::with_threads(4)).unwrap_err();
-        assert_eq!(parallel, sequential, "same typed error, same source");
-        std::fs::remove_dir_all(&dir_a).ok();
-        std::fs::remove_dir_all(&dir_b).ok();
+    fn federation_open_surfaces_the_first_corrupt_source_in_source_order() {
+        let (dir_a, _) = textured_dir("fed-bad-a");
+        let (dir_b, _) = textured_dir("fed-bad-b");
+        let (dir_c, _) = textured_dir("fed-bad-c");
+        vandalise(&dir_b, false);
+        vandalise(&dir_c, true);
+        let err_b = EventLogBackend::restore_dir(&dir_b).unwrap_err();
+        let err_c = EventLogBackend::restore_dir(&dir_c).unwrap_err();
+        assert_ne!(err_b, err_c, "the two corruptions sit at different offsets");
+        let open = |order: [(&str, &std::path::PathBuf); 3]| {
+            let sources = order
+                .iter()
+                .map(|(id, dir)| (SourceId::new(id), (*dir).clone()))
+                .collect();
+            Federation::open("fed", sources).unwrap_err()
+        };
+        assert_eq!(open([("a", &dir_a), ("b", &dir_b), ("c", &dir_c)]), err_b);
+        assert_eq!(open([("a", &dir_a), ("c", &dir_c), ("b", &dir_b)]), err_c);
+        for dir in [&dir_a, &dir_b, &dir_c] {
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

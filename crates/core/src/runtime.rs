@@ -1,21 +1,19 @@
 //! The shared background runtime: one scheduler for all background work.
 //!
-//! This module grew out of the parallel-restore [`WorkerPool`] (ROADMAP
-//! direction 5) into the process-wide [`Runtime`] every background
-//! tenant schedules onto:
+//! Every background tenant of a node schedules onto one [`Runtime`]:
 //!
 //! * **[`WorkerPool`]** — a fixed set of named threads
 //!   (`bx-worker-0` … `bx-worker-{n-1}`) draining a shared job queue.
 //!   Ordered scatter/gather ([`WorkerPool::scatter`]) is the scoped-job
 //!   primitive: results come back in **submission order** regardless of
-//!   completion order, which is what makes error reporting from
-//!   parallel decode deterministic (the first error *in log order*
-//!   wins, not the first to be discovered). Workers are panic-safe: a
-//!   panicking job is caught, counted ([`PoolStats::panics_caught`])
-//!   and the worker keeps draining; `scatter` re-raises the **first
-//!   panic in submission order** on the calling thread. A `scatter`
-//!   issued *from* a worker thread runs the nested batch inline on the
-//!   calling worker instead of deadlocking the pool.
+//!   completion order, so the first error in submission order is the
+//!   one reported, not the first to be discovered. Workers are
+//!   panic-safe: a panicking job is caught, counted
+//!   ([`PoolStats::panics_caught`]) and the worker keeps draining;
+//!   `scatter` re-raises the **first panic in submission order** on the
+//!   calling thread. A `scatter` issued *from* a worker thread runs the
+//!   nested batch inline on the calling worker instead of deadlocking
+//!   the pool.
 //!
 //! * **Timer wheel** — a single lazy `bx-timer` thread tracking
 //!   deadlines; due jobs are fired *onto the pool*, never run on the
@@ -38,10 +36,11 @@
 //!
 //! The pool runs `'static` jobs: callers share read-only inputs via
 //! [`std::sync::Arc`] and partition mutable state by *moving* disjoint
-//! pieces into each job (see `replay_parallel`, which moves each shard's
-//! `EntryRecord`s in and back out). `scatter` blocks until every
-//! submitted job has finished, so by the time it returns no worker
-//! holds any job state.
+//! pieces into each job. `scatter` blocks until every submitted job has
+//! finished, so by the time it returns no worker holds any job state.
+//!
+//! Cold restore is not a tenant: replicas and federations open through
+//! the one sequential decode/fold path (see [`crate::replica::Replica::open`]).
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -50,50 +49,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Options for the parallel restore pipeline, accepted by
-/// [`crate::storage::EventLogBackend::restore_dir_with`],
-/// [`crate::replica::Replica::open_with`] and
-/// [`crate::replica::Federation::open_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestoreOptions {
-    /// Worker threads for decode, replay and derived-state rebuild.
-    /// `1` reproduces the sequential code path exactly (no pool is
-    /// created); the default is [`std::thread::available_parallelism`].
-    pub threads: usize,
-}
-
-impl Default for RestoreOptions {
-    fn default() -> RestoreOptions {
-        RestoreOptions {
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
-impl RestoreOptions {
-    /// The sequential pipeline: identical code path to the pre-pool
-    /// `restore_dir`/`open`, kept as the oracle the parallel pipeline is
-    /// property-tested against.
-    pub fn sequential() -> RestoreOptions {
-        RestoreOptions { threads: 1 }
-    }
-
-    /// A pipeline pinned to exactly `threads` workers (tests and benches
-    /// use this to compare thread counts on fixed inputs).
-    pub fn with_threads(threads: usize) -> RestoreOptions {
-        RestoreOptions {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Whether these options select the parallel pipeline at all.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-}
 
 /// One queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -180,11 +135,6 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { shared, workers }
-    }
-
-    /// A pool sized by [`std::thread::available_parallelism`].
-    pub fn with_available_parallelism() -> WorkerPool {
-        WorkerPool::new(RestoreOptions::default().threads)
     }
 
     /// Number of worker threads.
@@ -959,8 +909,8 @@ impl WeakSerialTask {
 /// The shared background runtime: one bounded [`WorkerPool`], one timer
 /// wheel, one [`RuntimeHealth`] channel. Components "rent" capacity —
 /// the durability writer and lint fold as [`SerialTask`]s, the replica
-/// daemon and compaction triggers as timer entries, parallel restore as
-/// `scatter` batches — so a node hosting dozens of federated sources
+/// daemon and compaction triggers as timer entries, lint checks as
+/// pool jobs — so a node hosting dozens of federated sources
 /// runs on one fixed set of threads instead of a thread per component.
 ///
 /// Dropping the last `Arc<Runtime>` shuts down the wheel first (no new
@@ -996,11 +946,6 @@ impl Runtime {
             pool,
             health: Arc::new(RuntimeHealth::new()),
         })
-    }
-
-    /// A runtime sized by [`std::thread::available_parallelism`].
-    pub fn with_available_parallelism() -> Arc<Runtime> {
-        Runtime::new(RestoreOptions::default().threads)
     }
 
     /// The scatter/gather pool.
@@ -1143,16 +1088,6 @@ mod tests {
             std::thread::current().name().unwrap_or("").to_string()
         })];
         assert_eq!(pool.scatter(jobs), vec!["bx-worker-0".to_string()]);
-    }
-
-    #[test]
-    fn options_default_to_available_parallelism() {
-        let options = RestoreOptions::default();
-        assert!(options.threads >= 1);
-        assert!(RestoreOptions::sequential().threads == 1);
-        assert!(!RestoreOptions::sequential().is_parallel());
-        assert_eq!(RestoreOptions::with_threads(0).threads, 1);
-        assert!(RestoreOptions::with_threads(8).is_parallel());
     }
 
     #[test]

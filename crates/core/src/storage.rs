@@ -601,152 +601,9 @@ impl EventLogBackend {
     /// this never mutates the directory (no torn-tail repair), so tests
     /// and tooling can compute the expected fold of a directory that is
     /// concurrently being tailed or deliberately left torn.
-    ///
-    /// This sequential path is the oracle for
-    /// [`EventLogBackend::restore_dir_with`], which runs the same recovery
-    /// through the parallel pipeline.
     pub fn restore_dir(dir: &Path) -> Result<RepositorySnapshot, RepoError> {
         let (base, log) = Self::read_state_in(dir)?;
         Ok(replay(base, &Self::read_generation_events(dir, &log)?))
-    }
-
-    /// [`EventLogBackend::restore_dir`] through the parallel restore
-    /// pipeline: chunked decode (newline-aligned JSONL chunks, or one
-    /// worker per binary segment), ordered splice, then the sharded
-    /// [`crate::event::replay_parallel`] fold — bit-identical to the
-    /// sequential path on every input, including which error a corrupt
-    /// log surfaces (first offending offset in log order, regardless of
-    /// worker completion order). `options.threads == 1` runs the
-    /// sequential code path exactly.
-    pub fn restore_dir_with(
-        dir: &Path,
-        options: crate::runtime::RestoreOptions,
-    ) -> Result<RepositorySnapshot, RepoError> {
-        if !options.is_parallel() {
-            return Self::restore_dir(dir);
-        }
-        let pool = crate::runtime::WorkerPool::new(options.threads);
-        let (base, log) = Self::read_state_in(dir)?;
-        let events = Self::read_generation_events_pooled(dir, &log, &pool)?;
-        Ok(crate::event::replay_parallel(base, events, &pool))
-    }
-
-    /// [`EventLogBackend::read_generation_events`] with a thread budget:
-    /// parallel when `options.threads > 1`, the sequential oracle
-    /// otherwise.
-    pub fn read_generation_events_with(
-        dir: &Path,
-        generation: &str,
-        options: crate::runtime::RestoreOptions,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        if !options.is_parallel() {
-            return Self::read_generation_events(dir, generation);
-        }
-        let pool = crate::runtime::WorkerPool::new(options.threads);
-        Self::read_generation_events_pooled(dir, generation, &pool)
-    }
-
-    /// Format-dispatched parallel generation read on an existing pool.
-    pub(crate) fn read_generation_events_pooled(
-        dir: &Path,
-        generation: &str,
-        pool: &crate::runtime::WorkerPool,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        if crate::binlog::is_binary_generation(generation) {
-            crate::binlog::read_generation_parallel(dir, generation, pool).map(|(events, _)| events)
-        } else {
-            Self::read_log_file_parallel(&dir.join(generation), pool)
-        }
-    }
-
-    /// The intact complete lines of `text[..intact_end]` parsed as one
-    /// event per line across the pool: the region splits into
-    /// newline-aligned chunks, each worker parses its chunk's lines, and
-    /// the chunks splice back in file order. A parse failure surfaces as
-    /// the error of the **first** corrupt line in file order (ordered
-    /// gather; within a chunk the scan stops at its first failure), so
-    /// corruption reporting is deterministic regardless of worker timing
-    /// — and byte-identical to what the sequential line loop raises.
-    pub(crate) fn parse_jsonl_parallel(
-        text: &Arc<String>,
-        intact_end: usize,
-        segment: &str,
-        pool: &crate::runtime::WorkerPool,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        // Aim for a few chunks per worker so one dense chunk cannot
-        // serialise the whole decode, with a floor that keeps tiny logs
-        // from paying scatter overhead per line.
-        const MIN_CHUNK_BYTES: usize = 64 * 1024;
-        let target_chunks = pool.threads() * 4;
-        let chunk_bytes = (intact_end / target_chunks.max(1)).max(MIN_CHUNK_BYTES);
-        let bytes = text.as_bytes();
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0usize;
-        while start < intact_end {
-            let mut end = (start + chunk_bytes).min(intact_end);
-            // Advance to the next newline so every chunk holds whole
-            // lines (the region ends on one by construction).
-            while end < intact_end && bytes[end - 1] != b'\n' {
-                end += 1;
-            }
-            ranges.push((start, end));
-            start = end;
-        }
-        type ChunkParse = Result<Vec<RepoEvent>, RepoError>;
-        let segment: Arc<str> = Arc::from(segment);
-        let jobs: Vec<Box<dyn FnOnce() -> ChunkParse + Send>> = ranges
-            .into_iter()
-            .map(|(start, end)| {
-                let text = Arc::clone(text);
-                let segment = Arc::clone(&segment);
-                Box::new(move || -> ChunkParse {
-                    let mut events = Vec::new();
-                    let mut pos = start;
-                    for line in text[start..end].split_inclusive('\n') {
-                        let at = pos;
-                        pos += line.len();
-                        let body = line.trim_end_matches(['\n', '\r']);
-                        if body.trim().is_empty() {
-                            continue;
-                        }
-                        events.push(
-                            serde_json::from_str::<RepoEvent>(body)
-                                .map_err(|e| corrupt_jsonl_line(&segment, at as u64, &e))?,
-                        );
-                    }
-                    Ok(events)
-                }) as Box<dyn FnOnce() -> ChunkParse + Send>
-            })
-            .collect();
-        let mut events = Vec::new();
-        for chunk in pool.scatter(jobs) {
-            events.append(&mut chunk?);
-        }
-        Ok(events)
-    }
-
-    /// [`EventLogBackend::read_log_file`] across a pool: the complete
-    /// lines decode chunked and spliced via
-    /// [`EventLogBackend::parse_jsonl_parallel`]; the torn final line (no
-    /// terminating newline) is then handled exactly as the sequential
-    /// reader does — included if it parses, silently dropped if not.
-    pub(crate) fn read_log_file_parallel(
-        path: &Path,
-        pool: &crate::runtime::WorkerPool,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        if !path.exists() {
-            return Ok(Vec::new());
-        }
-        let text = Arc::new(std::fs::read_to_string(path).map_err(io_err)?);
-        let intact_end = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        let mut events = Self::parse_jsonl_parallel(&text, intact_end, &segment_name(path), pool)?;
-        let fragment = &text[intact_end..];
-        if !fragment.trim().is_empty() {
-            if let Ok(event) = serde_json::from_str::<RepoEvent>(fragment) {
-                events.push(event);
-            }
-        }
-        Ok(events)
     }
 
     /// Parse (and integrity-check) `dir/checkpoint.json`. `Ok(None)` when

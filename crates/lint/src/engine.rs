@@ -222,13 +222,7 @@ impl LawChecker {
     /// A checker over an initially empty state with two workers (on a
     /// private `bx-lint` [`Runtime`]).
     pub fn new(catalog: Arc<CheckCatalog>) -> LawChecker {
-        LawChecker::with_workers(catalog, 2)
-    }
-
-    /// A checker with an explicit private worker-pool size (at least
-    /// one).
-    pub fn with_workers(catalog: Arc<CheckCatalog>, workers: usize) -> LawChecker {
-        LawChecker::build(catalog, Runtime::named("bx-lint", workers), None)
+        LawChecker::build(catalog, Runtime::named("bx-lint", 2), None)
     }
 
     /// A checker that runs its checks as a tenant of an existing shared

@@ -16,8 +16,7 @@
 //! is one source log (the layout a [`bx::core::replica::Federation`]
 //! tails), converted to the same-named subdirectory of `<dst-root>`. A
 //! per-source summary line reports each outcome; a source that fails
-//! does not stop the others. Decode fans out over all cores via the
-//! parallel restore pipeline.
+//! does not stop the others. Sources convert one after another.
 //!
 //! Exit codes: `0` — converted; `1` — conversion failed (corrupt
 //! source, unwritable destination; in `--federation` mode, any source
@@ -27,8 +26,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use bx::core::binlog::convert_log_dir_with;
-use bx::core::RestoreOptions;
+use bx::core::binlog::convert_log_dir;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,7 +58,7 @@ fn main() -> ExitCode {
         return convert_federation(src, dst, to_binary, format);
     }
 
-    match convert_log_dir_with(src, dst, to_binary, RestoreOptions::default()) {
+    match convert_log_dir(src, dst, to_binary) {
         Ok(events) => {
             println!(
                 "bx logconv: wrote {} pending event(s) from `{}` to `{}` as {}",
@@ -105,7 +103,7 @@ fn convert_federation(src_root: &Path, dst_root: &Path, to_binary: bool, format:
     let mut failed = 0usize;
     for (name, src) in &sources {
         let dst = dst_root.join(name);
-        match convert_log_dir_with(src, &dst, to_binary, RestoreOptions::default()) {
+        match convert_log_dir(src, &dst, to_binary) {
             Ok(events) => {
                 converted += 1;
                 println!("bx logconv: source `{name}`: {events} pending event(s) as {format}");

@@ -109,6 +109,56 @@ fn flips_across_a_multi_segment_log_are_detected_in_every_segment() {
     assert!(EventLogBackend::restore_dir(&dir).is_ok());
 }
 
+/// A flipped byte in an early, sealed segment of a multi-segment log is
+/// reported against that segment — not the live one — and a replica
+/// open surfaces exactly the error `restore_dir` does.
+#[test]
+fn an_early_sealed_segment_flip_is_reported_at_that_segment() {
+    let (dir, segments) = recorded_dir("binlog-flip-early", Some(512));
+    assert!(
+        segments.len() >= 3,
+        "need several segments, got {}",
+        segments.len()
+    );
+    let early = &segments[0];
+    let path = dir.join(early);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&path, bytes).unwrap();
+
+    let err = EventLogBackend::restore_dir(&dir).unwrap_err();
+    let RepoError::CorruptFrame { ref segment, .. } = err else {
+        panic!("expected CorruptFrame, got {err:?}");
+    };
+    assert_eq!(segment, early, "the corrupted segment is the one reported");
+    assert_eq!(Replica::open(&dir).unwrap_err(), err);
+}
+
+/// A vandalised middle line of a JSONL log is the typed `CorruptFrame`
+/// at `events-0.jsonl`, from both `restore_dir` and a replica open.
+#[test]
+fn a_vandalised_middle_jsonl_line_is_corrupt_frame_at_its_segment() {
+    let dir = unique_temp_dir("jsonl-vandalised");
+    let repo = scripted_repository();
+    apply_ops(&repo, &script(&["Composers", "Dates"]));
+    let mut backend = EventLogBackend::open(&dir).unwrap();
+    backend.record(&repo.drain_events()).unwrap();
+    let log = dir.join("events-0.jsonl");
+    let text = std::fs::read_to_string(&log).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let middle = lines.len() / 2;
+    lines[middle] = "{\"NotAnEvent\":1}";
+    std::fs::write(&log, lines.join("\n") + "\n").unwrap();
+
+    let err = EventLogBackend::restore_dir(&dir).unwrap_err();
+    assert!(
+        matches!(err, RepoError::CorruptFrame { ref segment, .. } if segment == "events-0.jsonl"),
+        "corrupt JSONL is typed with its segment and offset: {err:?}"
+    );
+    assert_eq!(Replica::open(&dir).unwrap_err(), err);
+}
+
 #[test]
 fn any_truncation_of_the_live_segment_restores_a_clean_prefix() {
     let (dir, segments) = recorded_dir("binlog-truncate", None);

@@ -478,18 +478,25 @@ fn quarantined_corrupt_sources_salvage_and_report_on_the_runtime_channel() {
         "fed",
     );
 
-    // Quarantine, then salvage. The build-time pass may have consumed
-    // either step already, so drive passes until both sources report a
-    // completed salvage.
-    let mut salvaged: Vec<SourceId> = Vec::new();
+    // Quarantine, then salvage. The daemon's start-up pass runs on the
+    // pool concurrently with the forced passes and may take either step
+    // itself (its outcome is not returned here), so count completed
+    // salvages from the stats record every pass updates.
+    let salvaged = |daemon: &ReplicaDaemon| {
+        daemon
+            .stats()
+            .source_health
+            .iter()
+            .filter(|(_, status)| status.salvage.is_some())
+            .count()
+    };
     for _ in 0..4 {
-        let outcome = daemon.force_catch_up().unwrap();
-        salvaged.extend(outcome.salvaged.iter().map(|(s, _)| s.clone()));
-        if salvaged.len() >= 2 {
+        if salvaged(&daemon) >= 2 {
             break;
         }
+        daemon.force_catch_up().unwrap();
     }
-    assert_eq!(salvaged.len(), 2, "both formats salvage");
+    assert_eq!(salvaged(&daemon), 2, "both formats salvage");
 
     // The sticky per-source error map kept the corruption attributable
     // until explicitly cleared.

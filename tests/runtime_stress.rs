@@ -9,8 +9,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bx::core::index::SearchIndex;
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
-use bx::core::replica::{DaemonConfig, Federation, ReplicaDaemon, SourceId};
+use bx::core::replica::{federate_snapshots, DaemonConfig, Federation, ReplicaDaemon, SourceId};
 use bx::core::runtime::{HealthReport, Runtime};
 use bx::core::storage::{
     AutoCompactingEventLog, CompactionPolicy, EventLogBackend, StorageBackend,
@@ -151,8 +152,7 @@ fn mixed_tenants_on_one_small_pool_survive_faults_and_converge() {
 
     // Tenant 5: a replica daemon federating the healthy directory, on
     // the same pool.
-    let federation =
-        Federation::open_on("fed", vec![(SourceId::new("a"), dir.clone())], &runtime).unwrap();
+    let federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
     let mut daemon = ReplicaDaemon::spawn_on(
         federation,
         DaemonConfig {
@@ -205,10 +205,10 @@ fn mixed_tenants_on_one_small_pool_survive_faults_and_converge() {
 }
 
 /// 64 federated sources cold-opened and then daemon-polled on ONE shared
-/// pool: thread count stays bounded at the pool width, the merged state
-/// matches the sequential open exactly, and stopping the daemon is
-/// prompt. This is the test-suite twin of the `federation` bench's
-/// shared-runtime rows.
+/// pool: the merged state is the `federate_snapshots` fold of the
+/// sources, thread count stays bounded at the pool width, and stopping
+/// the daemon is prompt. This is the test-suite twin of the `federation`
+/// bench's shared-runtime rows.
 #[test]
 fn sixty_four_sources_cold_open_and_poll_on_one_shared_pool() {
     let mut sources = Vec::new();
@@ -224,10 +224,16 @@ fn sixty_four_sources_cold_open_and_poll_on_one_shared_pool() {
     }
 
     let runtime = Runtime::named("bx-fed64", 4);
-    let sequential = Federation::open("fed", sources.clone()).unwrap();
-    let federation = Federation::open_on("fed", sources, &runtime).unwrap();
-    assert_eq!(federation.snapshot(), sequential.snapshot());
-    assert_eq!(federation.index(), sequential.index());
+    let restored: Vec<_> = sources
+        .iter()
+        .map(|(id, dir)| (id.clone(), EventLogBackend::restore_dir(dir).unwrap()))
+        .collect();
+    let federation = Federation::open("fed", sources).unwrap();
+    assert_eq!(federation.snapshot(), &federate_snapshots("fed", &restored));
+    assert_eq!(
+        federation.index(),
+        &SearchIndex::build(federation.snapshot())
+    );
     assert_eq!(runtime.pool_stats().threads, 4, "64 sources, 4 workers");
 
     let mut daemon = ReplicaDaemon::spawn_on(
@@ -252,20 +258,7 @@ fn sixty_four_sources_cold_open_and_poll_on_one_shared_pool() {
         begin.elapsed()
     );
 
-    // One source converted to the binary format on the same shared pool
-    // round-trips its durable contents.
-    let bin = unique_temp_dir("stress-fed-bin");
-    bx::core::binlog::convert_log_dir_on(&dirs[0], &bin, true, &runtime).unwrap();
-    let converted = bx::core::binlog::BinaryLogBackend::open(&bin).unwrap();
-    let original = EventLogBackend::open(&dirs[0]).unwrap();
-    assert_eq!(
-        converted.restore().unwrap(),
-        original.restore().unwrap(),
-        "shared-pool conversion preserves the durable state"
-    );
-
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
     }
-    std::fs::remove_dir_all(&bin).ok();
 }
