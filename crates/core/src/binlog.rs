@@ -1210,8 +1210,8 @@ impl StorageBackend for BinaryLogBackend {
     }
 
     /// One fsync covering every batch staged since the last call.
-    /// Mid-window segment rolls already fsynced the sealed segments (see
-    /// [`Self::roll_segment`]), so only the live segment needs syncing —
+    /// Mid-window segment rolls already fsynced the sealed segments, so
+    /// only the live segment needs syncing —
     /// `sync_data` when its length is unchanged since the last fsync,
     /// `sync_all` otherwise, mirroring the JSONL backend's split.
     fn flush_durable(&mut self) -> Result<(), RepoError> {

@@ -19,14 +19,14 @@
 //! * [`event`] — the typed change-event stream every mutation records,
 //!   pushed at commit time to every subscribed [`event::EventSink`];
 //!   downstream layers consume these deltas instead of whole snapshots;
-//! * [`pipeline`] — the background durability pipeline: a writer thread
-//!   behind a bounded channel drains events into any storage backend,
-//!   with explicit flush and drop-shutdown semantics;
+//! * [`pipeline`] — the background durability pipeline: a writer, a
+//!   runtime tenant behind a bounded channel, drains events into any
+//!   storage backend, with explicit flush and drop-shutdown semantics;
 //! * [`replica`] — read replicas that tail a shipped event-log directory
 //!   and incrementally maintain their own snapshot, search index and
 //!   wiki site; [`replica::Federation`] fans N independent primaries into
 //!   one namespaced merged node, and [`replica::ReplicaDaemon`] polls it
-//!   on a background thread with clean start/stop and lag stats;
+//!   as a runtime tenant with clean start/stop and lag stats;
 //! * [`runtime`] — the shared background runtime: one worker pool, timer
 //!   wheel and health channel that the durability writer, replica
 //!   daemon, compaction and lint run on;
@@ -73,15 +73,15 @@ pub use curation::EntryStatus;
 pub use error::RepoError;
 pub use event::{EventSink, RepoEvent};
 pub use manuscript::{export_manuscript, ManuscriptOptions};
-pub use pipeline::{BackgroundWriter, HealthSink, PipelineConfig, PipelineHealth, PipelineStats};
+pub use pipeline::{BackgroundWriter, PipelineConfig, PipelineStats};
 pub use principal::{Principal, Role};
 pub use replica::{
     federate_snapshots, DaemonConfig, DaemonStats, Federation, Replica, ReplicaDaemon, SourceId,
 };
 pub use repo::{EntryId, Repository};
 pub use runtime::{
-    ComponentHealth, HealthReport, HealthSink as RuntimeHealthSink, PoolStats, Runtime,
-    RuntimeHealth, SerialTask, TimerTask, WeakSerialTask, WorkerPool,
+    ComponentHealth, HealthReport, HealthSink, PoolStats, Runtime, RuntimeHealth, SerialTask,
+    TimerTask, WeakSerialTask,
 };
 pub use storage::{
     AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, DurabilityMode,

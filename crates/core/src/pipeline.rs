@@ -7,15 +7,16 @@
 //! caller's thread — `contribute`/`revise`/… return as soon as the event
 //! is *enqueued*; the writer batches queued events and calls
 //! `StorageBackend::record` off to the side. The writer is a
-//! [`crate::runtime::SerialTask`] tenant on a [`Runtime`]:
-//! [`BackgroundWriter::spawn`]/[`BackgroundWriter::with_config`] give it
-//! a private single-worker runtime (`bx-durability-0`, the drop-in
-//! equivalent of the old dedicated thread), while
-//! [`BackgroundWriter::on_runtime`] lets many writers share one bounded
-//! pool — a federation's per-source writers run as N serialized tasks
-//! on a handful of threads, with group-commit window closes arriving as
-//! timer-wheel one-shots instead of per-writer sleeps. Four properties
-//! define the pipeline:
+//! [`crate::runtime::SerialTask`] tenant of a [`Runtime`], placed there
+//! by [`BackgroundWriter::on_runtime`]: many writers can share one
+//! bounded pool — a federation's per-source writers run as N serialized
+//! tasks on a handful of threads, with group-commit window closes
+//! arriving as timer-wheel one-shots instead of per-writer sleeps. A
+//! standalone writer gets a one-worker runtime of its own
+//! (`Runtime::named("bx-durability", 1)`); the writer keeps it alive.
+//! Every commit point and failure publishes a
+//! [`HealthReport::Pipeline`] on the runtime's health channel. Four
+//! properties define the pipeline:
 //!
 //! * **Bounded, with backpressure.** The channel holds at most
 //!   [`PipelineConfig::channel_capacity`] events. When it is full,
@@ -51,7 +52,7 @@
 //! checkpoints/prunes as it writes.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use crate::error::RepoError;
@@ -69,10 +70,6 @@ pub const DEFAULT_WRITE_BATCH: usize = 256;
 /// before it is forced closed (bounds both ack latency and the clean
 /// suffix a crash inside the window can lose).
 pub const DEFAULT_MAX_GROUP_EVENTS: usize = 4096;
-
-/// How many periodic [`PipelineHealth`] reports the writer retains before
-/// dropping the oldest.
-const HEALTH_BACKLOG: usize = 64;
 
 /// Tuning knobs for a [`BackgroundWriter`].
 #[derive(Debug, Clone, Copy)]
@@ -100,13 +97,6 @@ pub struct PipelineConfig {
     /// (saturation → maximum fsync amortisation). The window currently in
     /// force is observable as [`PipelineStats::window_micros`].
     pub adaptive_window: bool,
-    /// Every `health_every` successful commits (record batches in
-    /// per-batch mode, windows in group-commit mode) the writer thread
-    /// snapshots a [`PipelineHealth`] report, drainable via
-    /// [`BackgroundWriter::drain_health_reports`]. `0` (the default)
-    /// disables periodic reporting; [`BackgroundWriter::health`] always
-    /// works on demand.
-    pub health_every: usize,
 }
 
 impl Default for PipelineConfig {
@@ -116,7 +106,6 @@ impl Default for PipelineConfig {
             write_batch: DEFAULT_WRITE_BATCH,
             group_commit_window: None,
             max_group_events: DEFAULT_MAX_GROUP_EVENTS,
-            health_every: 0,
             adaptive_window: false,
         }
     }
@@ -171,44 +160,6 @@ pub struct PipelineStats {
     pub window_micros: u64,
 }
 
-/// A point-in-time health snapshot of the pipeline: the counters plus the
-/// queue state and the sticky error, if any. Taken on demand by
-/// [`BackgroundWriter::health`] and periodically by the writer thread
-/// when [`PipelineConfig::health_every`] is non-zero.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineHealth {
-    /// The counters at snapshot time.
-    pub stats: PipelineStats,
-    /// Events sitting in the channel, not yet handed to the backend.
-    pub queue_depth: usize,
-    /// Events accepted but not yet durable (includes `queue_depth` and
-    /// any open group-commit window's staged events).
-    pub lag: u64,
-    /// The sticky writer error, if the pipeline has failed.
-    pub error: Option<String>,
-}
-
-impl PipelineHealth {
-    /// No sticky error: every accepted event has reached, or will reach,
-    /// the backend.
-    pub fn healthy(&self) -> bool {
-        self.error.is_none()
-    }
-
-    fn of(state: &State) -> PipelineHealth {
-        PipelineHealth {
-            stats: state.stats,
-            queue_depth: state.queue.len(),
-            lag: state.stats.enqueued - state.stats.durable - state.stats.dropped,
-            error: state.error.clone(),
-        }
-    }
-}
-
-/// A push target for [`PipelineHealth`] reports; see
-/// [`BackgroundWriter::set_health_sink`].
-pub type HealthSink = Arc<dyn Fn(PipelineHealth) + Send + Sync>;
-
 /// Everything the producer side and the writer task share.
 struct Shared {
     state: Mutex<State>,
@@ -217,11 +168,10 @@ struct Shared {
     /// Signalled when `durable` advances, the writer fails, or the
     /// shutdown drain completes (`State::closed`).
     progress: Condvar,
-    /// When the writer was placed on a shared runtime via
-    /// [`BackgroundWriter::on_runtime`], every commit point and failure
-    /// also publishes a [`HealthReport::Pipeline`] on the runtime's
-    /// unified channel under this component name.
-    runtime_channel: Option<(Arc<RuntimeHealth>, String)>,
+    /// Every commit point and failure publishes a
+    /// [`HealthReport::Pipeline`] here under `component`.
+    health: Arc<RuntimeHealth>,
+    component: String,
 }
 
 struct State {
@@ -247,65 +197,21 @@ struct State {
     /// First backend error, stringified; sticky once set.
     error: Option<String>,
     stats: PipelineStats,
-    /// Successful commits (record batches / windows), for the periodic
-    /// health cadence.
-    commits: u64,
-    /// [`PipelineConfig::health_every`]; 0 disables periodic reports.
-    health_every: usize,
-    /// Periodic health reports (bounded; oldest dropped first).
-    health: VecDeque<PipelineHealth>,
-    /// Push target: called with a fresh report after every commit point
-    /// and on failure. Invoked strictly *outside* the state lock.
-    health_sink: Option<HealthSink>,
 }
 
-impl State {
-    /// Account a successful commit and, on the configured cadence, file a
-    /// health report — under the same lock that advanced `durable`, so a
-    /// flusher woken by this commit already sees its report.
-    fn committed(&mut self) {
-        self.commits += 1;
-        if self.health_every > 0 && self.commits.is_multiple_of(self.health_every as u64) {
-            if self.health.len() >= HEALTH_BACKLOG {
-                self.health.pop_front();
-            }
-            let report = PipelineHealth::of(self);
-            self.health.push_back(report);
-        }
-    }
-
-    /// The push sink (if one is set) paired with a fresh report. The
-    /// caller hands both to [`publish`] only after releasing the state
-    /// lock, so a sink is free to call back into the writer (`stats`,
-    /// `health`, …) without deadlocking.
-    fn pending_push(&self) -> (Option<HealthSink>, PipelineHealth) {
-        (self.health_sink.clone(), PipelineHealth::of(self))
-    }
-}
-
-/// Deliver one commit-point (or failure) report to the per-writer push
-/// sink and, for writers on a shared runtime, to the unified
-/// [`RuntimeHealth`] channel. Called strictly outside the state lock.
-fn publish(shared: &Shared, sink: Option<HealthSink>, report: PipelineHealth) {
-    if let Some((health, component)) = &shared.runtime_channel {
-        health.report(
-            component,
-            HealthReport::Pipeline {
-                enqueued: report.stats.enqueued,
-                durable: report.stats.durable,
-                dropped: report.stats.dropped,
-                backpressure_waits: report.stats.backpressure_waits,
-                fsyncs: report.stats.fsyncs,
-                group_commits: report.stats.group_commits,
-                window_micros: report.stats.window_micros,
-                queue_len: report.queue_depth,
-                error: report.error.clone(),
-            },
-        );
-    }
-    if let Some(sink) = sink {
-        sink(report);
-    }
+/// Publish the writer's state as a [`HealthReport::Pipeline`]: built
+/// under the state lock, so it is exactly the state the commit point (or
+/// failure) left, and delivered after releasing it, since a health sink
+/// is arbitrary user code. Only the writer task publishes, one pass at a
+/// time, so reports arrive in commit order.
+fn publish(shared: &Shared, state: MutexGuard<'_, State>) {
+    let report = HealthReport::Pipeline {
+        stats: state.stats,
+        queue_len: state.queue.len(),
+        error: state.error.clone(),
+    };
+    drop(state);
+    shared.health.report(&shared.component, report);
 }
 
 /// The writer task's self-handle, filled in after the task exists so
@@ -323,9 +229,9 @@ fn poke(slot: &TaskSlot) {
 pub struct BackgroundWriter {
     shared: Arc<Shared>,
     task: SerialTask,
-    /// The private runtime backing `spawn`/`with_config` writers; `None`
-    /// for tenants of a shared runtime ([`BackgroundWriter::on_runtime`]).
-    _runtime: Option<Arc<Runtime>>,
+    /// The host runtime, kept alive for the writer's lifetime: its timer
+    /// wheel closes group-commit windows.
+    _runtime: Arc<Runtime>,
 }
 
 impl std::fmt::Debug for BackgroundWriter {
@@ -337,60 +243,33 @@ impl std::fmt::Debug for BackgroundWriter {
     }
 }
 
-fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
+fn lock(shared: &Shared) -> MutexGuard<'_, State> {
     shared.state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl BackgroundWriter {
-    /// Spawn a writer around `backend` with default tuning, on a private
-    /// single-worker runtime (`bx-durability-0`).
-    pub fn spawn<B: StorageBackend + Send + 'static>(backend: B) -> BackgroundWriter {
-        BackgroundWriter::with_config(backend, PipelineConfig::default())
-    }
-
-    /// Spawn a writer around `backend` with explicit tuning, on a
-    /// private single-worker runtime. A
+    /// Place a writer around `backend` on `runtime`: the writer becomes
+    /// one serialized task among the runtime's tenants instead of owning
+    /// a thread, and every commit point (and failure) publishes a
+    /// [`HealthReport::Pipeline`] under `component` on the runtime's
+    /// health channel. The writer holds its own `Arc` of the runtime, so
+    /// the caller may drop theirs. A
     /// [`PipelineConfig::group_commit_window`] switches the backend to
     /// `DurabilityMode::GroupCommit` before the task starts, so staging
     /// and the window's single fsync line up automatically.
-    pub fn with_config<B: StorageBackend + Send + 'static>(
-        backend: B,
-        config: PipelineConfig,
-    ) -> BackgroundWriter {
-        let runtime = Runtime::named("bx-durability", 1);
-        let mut writer = BackgroundWriter::build(backend, config, &runtime, None);
-        writer._runtime = Some(runtime);
-        writer
-    }
-
-    /// Place a writer on a *shared* [`Runtime`]: the writer becomes one
-    /// serialized task among the runtime's tenants instead of owning a
-    /// thread, and every commit point (and failure) publishes a
-    /// [`HealthReport::Pipeline`] under `component` on the runtime's
-    /// unified health channel. The runtime must outlive the writer's
-    /// shutdown (callers keep their own `Arc`).
     pub fn on_runtime<B: StorageBackend + Send + 'static>(
-        backend: B,
-        config: PipelineConfig,
-        runtime: &Arc<Runtime>,
-        component: &str,
-    ) -> BackgroundWriter {
-        BackgroundWriter::build(backend, config, runtime, Some(component))
-    }
-
-    fn build<B: StorageBackend + Send + 'static>(
         mut backend: B,
         config: PipelineConfig,
         runtime: &Arc<Runtime>,
-        component: Option<&str>,
+        component: &str,
     ) -> BackgroundWriter {
         if config.group_commit_window.is_some() {
             backend.set_durability(DurabilityMode::GroupCommit);
         }
         // A backend that repaired a torn tail when it opened says so on
-        // the unified channel — the repair predates this writer, but this
+        // the health channel — the repair predates this writer, but this
         // is the first observer that can publish it.
-        if let (Some(component), Some(repair)) = (component, backend.tail_repaired()) {
+        if let Some(repair) = backend.tail_repaired() {
             runtime.health().report(
                 component,
                 HealthReport::TailRepaired {
@@ -411,14 +290,11 @@ impl BackgroundWriter {
                 current_window: config.group_commit_window.unwrap_or(Duration::ZERO),
                 error: None,
                 stats: PipelineStats::default(),
-                commits: 0,
-                health_every: config.health_every,
-                health: VecDeque::new(),
-                health_sink: None,
             }),
             not_full: Condvar::new(),
             progress: Condvar::new(),
-            runtime_channel: component.map(|name| (Arc::clone(runtime.health()), name.to_string())),
+            health: Arc::clone(runtime.health()),
+            component: component.to_string(),
         });
         let tuning = WriterTuning {
             batch_max: config.write_batch.max(1),
@@ -443,7 +319,7 @@ impl BackgroundWriter {
         BackgroundWriter {
             shared,
             task,
-            _runtime: None,
+            _runtime: Arc::clone(runtime),
         }
     }
 
@@ -458,9 +334,9 @@ impl BackgroundWriter {
     }
 
     /// Block until every event enqueued before this call is durably
-    /// recorded, then report the writer's health. An open group-commit
-    /// window closes early for a waiting flush, so acknowledgement
-    /// latency is bounded by the in-flight fsync, not the window timer.
+    /// recorded. An open group-commit window closes early for a waiting
+    /// flush, so acknowledgement latency is bounded by the in-flight
+    /// fsync, not the window timer.
     /// Any discarded event fails the flush: a backend error and a
     /// post-shutdown delivery both plant a sticky error, so `Ok(())`
     /// really means "everything accepted so far is on the backend".
@@ -494,7 +370,8 @@ impl BackgroundWriter {
 
     /// Drain the queue, close any open window with its fsync, and wait
     /// for the writer task to confirm it is done, returning the writer's
-    /// final health. Idempotent; also run (result ignored) by `Drop`.
+    /// sticky error, if any. Idempotent; also run (result ignored) by
+    /// `Drop`.
     pub fn shutdown(&self) -> Result<(), RepoError> {
         {
             let mut state = lock(&self.shared);
@@ -522,7 +399,7 @@ impl BackgroundWriter {
             None => Ok(()),
         };
         drop(state);
-        // Wait out any in-flight pass so its health pushes (including a
+        // Wait out any in-flight pass so its health reports (including a
         // failure report) have landed — the task-world equivalent of
         // joining the old writer thread.
         self.task.wait_idle();
@@ -532,31 +409,6 @@ impl BackgroundWriter {
     /// Current progress/backpressure counters.
     pub fn stats(&self) -> PipelineStats {
         lock(&self.shared).stats
-    }
-
-    /// A point-in-time [`PipelineHealth`] snapshot, on demand.
-    pub fn health(&self) -> PipelineHealth {
-        PipelineHealth::of(&lock(&self.shared))
-    }
-
-    /// Take the periodic health reports accumulated since the last drain
-    /// (oldest first). Empty unless [`PipelineConfig::health_every`] was
-    /// set. A bounded backlog (64 reports) is retained between drains;
-    /// older ones are dropped.
-    pub fn drain_health_reports(&self) -> Vec<PipelineHealth> {
-        lock(&self.shared).health.drain(..).collect()
-    }
-
-    /// Push health reports instead of (only) pulling them: `sink` is
-    /// called with a fresh [`PipelineHealth`] after every commit point
-    /// (one `record` batch in per-batch mode, one window in group-commit
-    /// mode) and once when the writer fails. Reports arrive on the writer
-    /// thread, outside the pipeline's internal lock — a sink may call
-    /// back into the writer, but should return quickly since it delays
-    /// the next commit. Replaces any previously set sink; independent of
-    /// the pull-side [`PipelineConfig::health_every`] cadence.
-    pub fn set_health_sink(&self, sink: HealthSink) {
-        lock(&self.shared).health_sink = Some(sink);
     }
 
     /// Events accepted but not yet durably recorded.
@@ -668,16 +520,12 @@ fn drive_batch<B: StorageBackend>(
     };
     match backend.record(&batch) {
         Ok(()) => {
-            let (sink, report) = {
-                let mut state = lock(shared);
-                state.stats.durable += batch.len() as u64;
-                state.stats.fsyncs += 1;
-                state.flush_requested = false;
-                state.committed();
-                shared.progress.notify_all();
-                state.pending_push()
-            };
-            publish(shared, sink, report);
+            let mut state = lock(shared);
+            state.stats.durable += batch.len() as u64;
+            state.stats.fsyncs += 1;
+            state.flush_requested = false;
+            shared.progress.notify_all();
+            publish(shared, state);
         }
         Err(e) => {
             fail(shared, batch.len(), e);
@@ -772,21 +620,17 @@ fn drive_group<B: StorageBackend>(
         // The window's single fsync point, covering every staged batch.
         match backend.flush_durable() {
             Ok(()) => {
-                let (sink, report) = {
-                    let mut state = lock(shared);
-                    state.stats.durable += staged as u64;
-                    state.stats.fsyncs += 1;
-                    state.stats.group_commits += 1;
-                    state.stats.window_micros = next_window.as_micros() as u64;
-                    state.staged = 0;
-                    state.window_deadline = None;
-                    state.current_window = next_window;
-                    state.flush_requested = false;
-                    state.committed();
-                    shared.progress.notify_all();
-                    state.pending_push()
-                };
-                publish(shared, sink, report);
+                let mut state = lock(shared);
+                state.stats.durable += staged as u64;
+                state.stats.fsyncs += 1;
+                state.stats.group_commits += 1;
+                state.stats.window_micros = next_window.as_micros() as u64;
+                state.staged = 0;
+                state.window_deadline = None;
+                state.current_window = next_window;
+                state.flush_requested = false;
+                shared.progress.notify_all();
+                publish(shared, state);
             }
             Err(e) => {
                 fail(shared, staged, e);
@@ -840,23 +684,19 @@ fn adapt_window(
 /// reconciles via the primary's journal). They and everything still
 /// queued are lost and counted; the error turns sticky.
 fn fail(shared: &Shared, in_flight: usize, e: RepoError) {
-    let (sink, report) = {
-        let mut state = lock(shared);
-        state.stats.dropped += in_flight as u64;
-        state.stats.dropped += state.queue.len() as u64;
-        state.queue.clear();
-        if state.error.is_none() {
-            state.error = Some(e.to_string());
-        }
-        state.flush_requested = false;
-        state.staged = 0;
-        state.window_deadline = None;
-        shared.not_full.notify_all();
-        shared.progress.notify_all();
-        state.pending_push()
-    };
-    // The sinks hear about the failure too — pushed outside the lock.
-    publish(shared, sink, report);
+    let mut state = lock(shared);
+    state.stats.dropped += in_flight as u64;
+    state.stats.dropped += state.queue.len() as u64;
+    state.queue.clear();
+    if state.error.is_none() {
+        state.error = Some(e.to_string());
+    }
+    state.flush_requested = false;
+    state.staged = 0;
+    state.window_deadline = None;
+    shared.not_full.notify_all();
+    shared.progress.notify_all();
+    publish(shared, state);
 }
 
 #[cfg(test)]
@@ -867,10 +707,33 @@ mod tests {
     use crate::storage::MemoryBackend;
     use crate::template::{ExampleEntry, ExampleType};
 
-    /// A backend whose state outlives the writer thread, so tests can
-    /// inspect what was durably recorded.
+    /// A backend whose state outlives the writer, so tests can
+    /// inspect what was durably recorded. Its `flush_durable` parks
+    /// while the test holds the fsync gate, so a test can keep the
+    /// writer inside one window's fsync while it lines up the next
+    /// windows' input.
     #[derive(Clone, Default)]
-    struct SharedMemory(Arc<Mutex<MemoryBackend>>);
+    struct SharedMemory(Arc<Mutex<MemoryBackend>>, Arc<FsyncGate>);
+
+    /// `(held, parked)`: fsyncs wait while the gate is held, and
+    /// `parked` says one is waiting.
+    type FsyncGate = (Mutex<(bool, bool)>, Condvar);
+
+    impl SharedMemory {
+        fn hold_fsyncs(&self, held: bool) {
+            let (lock, changed) = &*self.1;
+            lock.lock().unwrap().0 = held;
+            changed.notify_all();
+        }
+
+        fn wait_parked(&self) {
+            let (lock, changed) = &*self.1;
+            let (state, _) = changed
+                .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(10), |g| !g.1)
+                .unwrap();
+            assert!(state.1, "the writer parks in its fsync");
+        }
+    }
 
     impl StorageBackend for SharedMemory {
         fn kind(&self) -> &'static str {
@@ -887,6 +750,17 @@ mod tests {
         }
         fn restore(&self) -> Result<crate::repo::RepositorySnapshot, RepoError> {
             self.0.lock().unwrap().restore()
+        }
+        fn flush_durable(&mut self) -> Result<(), RepoError> {
+            let (lock, changed) = &*self.1;
+            let mut state = lock.lock().unwrap();
+            state.1 = true;
+            changed.notify_all();
+            while state.0 {
+                state = changed.wait(state).unwrap();
+            }
+            state.1 = false;
+            Ok(())
         }
     }
 
@@ -911,6 +785,28 @@ mod tests {
         }
     }
 
+    /// A writer on a one-worker runtime whose only handle is the
+    /// writer's own.
+    fn writer_on<B: StorageBackend + Send + 'static>(
+        backend: B,
+        config: PipelineConfig,
+    ) -> BackgroundWriter {
+        BackgroundWriter::on_runtime(
+            backend,
+            config,
+            &Runtime::named("bx-durability", 1),
+            "writer",
+        )
+    }
+
+    /// The writer's latest report on `runtime`'s health channel.
+    fn latest_pipeline(runtime: &Runtime, component: &str) -> (PipelineStats, Option<String>) {
+        match runtime.health().latest(component).map(|h| h.report) {
+            Some(HealthReport::Pipeline { stats, error, .. }) => (stats, error),
+            other => panic!("expected a pipeline report, got {other:?}"),
+        }
+    }
+
     fn entry(title: &str) -> ExampleEntry {
         ExampleEntry::builder(title)
             .of_type(ExampleType::Precise)
@@ -927,7 +823,7 @@ mod tests {
     #[test]
     fn subscribed_writer_persists_the_live_state() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::spawn(storage.clone()));
+        let writer = Arc::new(writer_on(storage.clone(), PipelineConfig::default()));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         // Backfill the founding event, then go push-mode.
         writer.enqueue(&repo.drain_events());
@@ -959,7 +855,7 @@ mod tests {
         repo.register(Principal::member("alice")).unwrap();
         repo.contribute("alice", entry("COMPOSERS")).unwrap();
         {
-            let writer = BackgroundWriter::with_config(
+            let writer = writer_on(
                 storage.clone(),
                 PipelineConfig {
                     channel_capacity: 2, // force backpressure on the way in
@@ -978,13 +874,16 @@ mod tests {
 
     #[test]
     fn backend_errors_are_sticky_and_do_not_block_producers() {
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let runtime = Runtime::named("bx-durability", 1);
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             BrokenBackend,
             PipelineConfig {
                 channel_capacity: 2,
                 write_batch: 8,
                 ..PipelineConfig::default()
             },
+            &runtime,
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         repo.subscribe(writer.clone());
@@ -1003,12 +902,15 @@ mod tests {
         assert!(stats.dropped > 0);
         assert_eq!(stats.enqueued, stats.dropped);
         assert!(writer.shutdown().is_err(), "the error stays sticky");
+        // The failure is published on the runtime's health channel.
+        let (_, error) = latest_pipeline(&runtime, "writer");
+        assert!(error.is_some_and(|e| e.contains("disk on fire")));
     }
 
     #[test]
     fn events_after_shutdown_fail_the_next_flush() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::spawn(storage.clone()));
+        let writer = Arc::new(writer_on(storage.clone(), PipelineConfig::default()));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
         repo.subscribe(writer.clone());
@@ -1024,7 +926,7 @@ mod tests {
     #[test]
     fn flush_then_more_events_then_flush_again() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::spawn(storage.clone()));
+        let writer = Arc::new(writer_on(storage.clone(), PipelineConfig::default()));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
         repo.subscribe(writer.clone());
@@ -1043,7 +945,7 @@ mod tests {
     #[test]
     fn group_commit_coalesces_commit_points() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(writer_on(
             storage.clone(),
             PipelineConfig::group_commit(Duration::from_millis(5)),
         ));
@@ -1077,7 +979,7 @@ mod tests {
     #[test]
     fn adaptive_window_shrinks_to_zero_under_light_load() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(writer_on(
             storage.clone(),
             PipelineConfig::adaptive_group_commit(Duration::from_millis(4)),
         ));
@@ -1107,7 +1009,7 @@ mod tests {
     #[test]
     fn adaptive_window_grows_back_under_saturation() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(writer_on(
             storage.clone(),
             PipelineConfig {
                 // A tiny group budget so a burst saturates many windows
@@ -1128,12 +1030,18 @@ mod tests {
             writer.flush().unwrap();
         }
         assert_eq!(writer.stats().window_micros, 0);
-        // Then saturate: a 64-event burst fills windows to the 8-event
-        // budget back to back, doubling the window from the quantum.
+        // Hold the writer inside the fsync of a one-event window, queue a
+        // 64-event burst behind it, then let it go: every following
+        // window stages the full 8-event budget, so each one doubles the
+        // window from the quantum.
+        storage.hold_fsyncs(true);
+        repo.comment("alice", &id, "2014-03-28", "held").unwrap();
+        storage.wait_parked();
         for i in 0..64 {
             repo.comment("alice", &id, "2014-03-28", &format!("burst{i}"))
                 .unwrap();
         }
+        storage.hold_fsyncs(false);
         writer.flush().unwrap();
         let stats = writer.stats();
         assert!(
@@ -1157,7 +1065,7 @@ mod tests {
     #[test]
     fn fixed_window_reports_its_configured_size() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(writer_on(
             storage.clone(),
             PipelineConfig::group_commit(Duration::from_millis(2)),
         ));
@@ -1173,7 +1081,7 @@ mod tests {
         let storage = SharedMemory::default();
         // A window far longer than any test timeout: only the
         // flush-requested path can acknowledge promptly.
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(writer_on(
             storage.clone(),
             PipelineConfig::group_commit(Duration::from_secs(600)),
         ));
@@ -1199,7 +1107,7 @@ mod tests {
         // windows; each window fsync clears `flush_requested`, so the
         // flusher must re-arm it or the last window waits out the 600 s
         // timer and this test hangs.
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let writer = Arc::new(writer_on(
             storage.clone(),
             PipelineConfig {
                 max_group_events: 4,
@@ -1240,7 +1148,7 @@ mod tests {
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         repo.register(Principal::member("alice")).unwrap();
         {
-            let writer = BackgroundWriter::with_config(
+            let writer = writer_on(
                 storage.clone(),
                 PipelineConfig::group_commit(Duration::from_secs(600)),
             );
@@ -1254,88 +1162,89 @@ mod tests {
     }
 
     #[test]
-    fn periodic_health_reports_accumulate_and_drain() {
-        let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
-            storage.clone(),
+    fn health_reports_arrive_in_commit_order() {
+        let runtime = Runtime::named("bx-durability", 1);
+        let writer = Arc::new(BackgroundWriter::on_runtime(
+            SharedMemory::default(),
             PipelineConfig {
-                health_every: 1,
+                max_group_events: 2,
                 ..PipelineConfig::group_commit(Duration::from_millis(2))
             },
+            &runtime,
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
         repo.subscribe(writer.clone());
         repo.register(Principal::member("alice")).unwrap();
-        repo.contribute("alice", entry("COMPOSERS")).unwrap();
-        writer.flush().unwrap();
-
-        let reports = writer.drain_health_reports();
-        assert!(!reports.is_empty(), "health_every=1 reports every commit");
-        assert!(reports.iter().all(PipelineHealth::healthy));
-        // Reports are ordered: durable never regresses.
-        for pair in reports.windows(2) {
-            assert!(pair[0].stats.durable <= pair[1].stats.durable);
+        let id = repo.contribute("alice", entry("COMPOSERS")).unwrap();
+        for i in 0..6 {
+            repo.comment("alice", &id, "2014-03-28", &format!("h{i}"))
+                .unwrap();
         }
-        assert!(writer.drain_health_reports().is_empty(), "drain empties");
-
-        // The on-demand snapshot agrees with the counters.
-        let health = writer.health();
-        assert!(health.healthy());
-        assert_eq!(health.stats, writer.stats());
-        assert_eq!(health.lag, 0);
-        assert_eq!(health.queue_depth, 0);
+        writer.flush().unwrap();
+        // Join the writer task first: a report is published after the
+        // commit it describes has woken the flusher.
         writer.shutdown().unwrap();
+
+        let reports: Vec<(u64, PipelineStats, usize, Option<String>)> = runtime
+            .health()
+            .drain()
+            .into_iter()
+            .map(|entry| match entry.report {
+                HealthReport::Pipeline {
+                    stats,
+                    queue_len,
+                    error,
+                } => (entry.seq, stats, queue_len, error),
+                other => panic!("unexpected report {other:?}"),
+            })
+            .collect();
+        // A 2-event budget splits 9 events over ≥ 5 windows, one report
+        // per window.
+        assert!(reports.len() >= 5, "one report per commit: {reports:?}");
+        assert!(reports.iter().all(|r| r.3.is_none()), "all healthy");
+        for pair in reports.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "publish order");
+            assert!(pair[0].1.durable <= pair[1].1.durable);
+            assert!(pair[0].1.group_commits <= pair[1].1.group_commits);
+        }
+        // The last report agrees with the counters.
+        let (_, stats, queue_len, _) = reports.last().unwrap();
+        assert_eq!(*stats, writer.stats());
+        assert_eq!(*queue_len, 0);
+        assert_eq!(writer.lag(), 0);
     }
 
     #[test]
-    fn health_sink_pushes_reports_per_commit_and_on_failure() {
+    fn a_group_commit_writer_on_a_dropped_runtime_still_closes_windows() {
         let storage = SharedMemory::default();
-        let writer = Arc::new(BackgroundWriter::with_config(
+        // The caller keeps no runtime handle; only the window timer can
+        // make the staged events durable, since nobody flushes.
+        let writer = writer_on(
             storage.clone(),
-            PipelineConfig::group_commit(Duration::from_millis(2)),
-        ));
-        let seen: Arc<Mutex<Vec<PipelineHealth>>> = Arc::default();
-        let sink_seen = seen.clone();
-        writer.set_health_sink(Arc::new(move |report| {
-            sink_seen.lock().unwrap().push(report);
-        }));
+            PipelineConfig::group_commit(Duration::from_millis(5)),
+        );
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        writer.enqueue(&repo.drain_events());
-        repo.subscribe(writer.clone());
         repo.register(Principal::member("alice")).unwrap();
-        repo.contribute("alice", entry("COMPOSERS")).unwrap();
-        writer.flush().unwrap();
-        // Join the writer thread first: the push happens outside the
-        // pipeline lock, so it may trail the flush acknowledgement.
-        writer.shutdown().unwrap();
-        {
-            let reports = seen.lock().unwrap();
-            assert!(!reports.is_empty(), "each window pushes a report");
-            assert!(reports.iter().all(PipelineHealth::healthy));
-            for pair in reports.windows(2) {
-                assert!(pair[0].stats.durable <= pair[1].stats.durable);
-            }
+        writer.enqueue(&repo.drain_events());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while writer.stats().durable < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
-
-        // A failing backend pushes an unhealthy report.
-        let broken = Arc::new(BackgroundWriter::spawn(BrokenBackend));
-        let failures: Arc<Mutex<Vec<PipelineHealth>>> = Arc::default();
-        let sink_failures = failures.clone();
-        broken.set_health_sink(Arc::new(move |report| {
-            sink_failures.lock().unwrap().push(report);
-        }));
-        let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        broken.enqueue(&repo.drain_events());
-        assert!(broken.flush().is_err());
-        assert!(broken.shutdown().is_err(), "the error stays sticky");
-        let failures = failures.lock().unwrap();
-        assert!(failures.iter().any(|r| !r.healthy()));
+        let stats = writer.stats();
+        assert_eq!(stats.durable, 2, "the window timer closed the window");
+        assert!(stats.group_commits >= 1);
+        assert_eq!(
+            storage.0.lock().unwrap().restore().unwrap(),
+            repo.snapshot()
+        );
+        writer.shutdown().unwrap();
     }
 
     #[test]
     fn writers_on_a_shared_runtime_report_into_the_unified_channel() {
-        let runtime = Runtime::new(2);
+        let runtime = Runtime::named("bx-worker", 2);
         let storages: Vec<SharedMemory> = (0..4).map(|_| SharedMemory::default()).collect();
         let writers: Vec<BackgroundWriter> = storages
             .iter()
@@ -1369,8 +1278,8 @@ mod tests {
                 .latest(&format!("writer:s{i}"))
                 .expect("each writer reported");
             match latest.report {
-                HealthReport::Pipeline { durable, error, .. } => {
-                    assert_eq!(durable, events.len() as u64);
+                HealthReport::Pipeline { stats, error, .. } => {
+                    assert_eq!(stats.durable, events.len() as u64);
                     assert_eq!(error, None);
                 }
                 ref other => panic!("unexpected report {other:?}"),
@@ -1398,7 +1307,7 @@ mod tests {
         file.write_all(torn).unwrap();
         drop(file);
 
-        let runtime = Runtime::new(2);
+        let runtime = Runtime::named("bx-worker", 2);
         let backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         let writer =
             BackgroundWriter::on_runtime(backend, PipelineConfig::default(), &runtime, "writer");
@@ -1417,16 +1326,20 @@ mod tests {
 
     #[test]
     fn group_commit_surfaces_backend_errors_via_flush() {
-        let writer = Arc::new(BackgroundWriter::with_config(
+        let runtime = Runtime::named("bx-durability", 1);
+        let writer = Arc::new(BackgroundWriter::on_runtime(
             BrokenBackend,
             PipelineConfig::group_commit(Duration::from_millis(2)),
+            &runtime,
+            "writer",
         ));
         let repo = Repository::found("bx", vec![Principal::curator("c")]);
         writer.enqueue(&repo.drain_events());
         let err = writer.flush().unwrap_err();
         assert!(matches!(err, RepoError::Persist(ref m) if m.contains("disk on fire")));
-        let health = writer.health();
-        assert!(!health.healthy());
         assert!(writer.shutdown().is_err());
+        let (stats, error) = latest_pipeline(&runtime, "writer");
+        assert!(error.is_some_and(|e| e.contains("disk on fire")));
+        assert_eq!(stats, writer.stats());
     }
 }

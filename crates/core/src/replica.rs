@@ -686,7 +686,9 @@ pub struct Federation {
     recovery: RecoveryPolicy,
     /// When set, every supervision transition (failure, recovery,
     /// quarantine, salvage) publishes [`HealthReport::Source`] under
-    /// this component name.
+    /// this component name. [`ReplicaDaemon::spawn_on`] sets it to the
+    /// daemon's own runtime channel; reports fire on the catch-up
+    /// caller's thread, after the pass's folding is done.
     health: Option<(Arc<RuntimeHealth>, String)>,
     bx: WikiBx,
     snapshot: RepositorySnapshot,
@@ -965,14 +967,6 @@ impl Federation {
         self.recovery = policy;
     }
 
-    /// Publish every supervision transition (failures, recoveries,
-    /// quarantines, salvages) as [`HealthReport::Source`] on `health`
-    /// under `component`. Reports fire on the catch-up caller's thread,
-    /// after the pass's folding is done.
-    pub fn attach_runtime_health(&mut self, health: &Arc<RuntimeHealth>, component: &str) {
-        self.health = Some((Arc::clone(health), component.to_string()));
-    }
-
     /// Every source's supervision status — health state, failure
     /// counters, sticky error, time to next retry, and staleness (time
     /// since the source last polled clean, i.e. how old its contribution
@@ -1190,12 +1184,13 @@ struct DaemonShared {
     /// [`ReplicaDaemon::clear_source_error`] (or wholesale on
     /// [`ReplicaDaemon::clear_error`]).
     errors: Mutex<BTreeMap<SourceId, RepoError>>,
-    /// When the daemon is a tenant of a shared [`Runtime`], every pass
-    /// publishes a [`HealthReport::Daemon`] under this component name.
-    runtime_channel: Option<(Arc<RuntimeHealth>, String)>,
+    /// Every pass publishes a [`HealthReport::Daemon`] here under
+    /// `component`.
+    health: Arc<RuntimeHealth>,
+    component: String,
     /// The runtime whose timer wheel schedules backoff retries. Weak:
-    /// a pending retry one-shot must not keep the runtime (or, via the
-    /// closure, this shared state) alive past the daemon.
+    /// the daemon holds the strong handle, and a pending retry one-shot
+    /// must not keep the runtime alive past the daemon.
     runtime: Weak<Runtime>,
     poll_interval: Duration,
     /// Collapses retry wake-ups: at most one one-shot is in flight.
@@ -1244,22 +1239,20 @@ impl DaemonShared {
         self.schedule_retry(retry_in);
         // Publish after the daemon locks are released: a health sink is
         // arbitrary user code and must not nest inside them.
-        if let Some((health, component)) = &self.runtime_channel {
-            let (polls, events_applied, rebases) = {
-                let stats = daemon_lock(&self.stats);
-                (stats.polls, stats.events_applied, stats.rebases)
-            };
-            let error = daemon_lock(&self.error).as_ref().map(|e| e.to_string());
-            health.report(
-                component,
-                HealthReport::Daemon {
-                    polls,
-                    events_applied,
-                    rebases_detected: rebases,
-                    error,
-                },
-            );
-        }
+        let (polls, events_applied, rebases) = {
+            let stats = daemon_lock(&self.stats);
+            (stats.polls, stats.events_applied, stats.rebases)
+        };
+        let error = daemon_lock(&self.error).as_ref().map(|e| e.to_string());
+        self.health.report(
+            &self.component,
+            HealthReport::Daemon {
+                polls,
+                events_applied,
+                rebases_detected: rebases,
+                error,
+            },
+        );
         outcome
     }
 
@@ -1291,8 +1284,7 @@ impl DaemonShared {
 }
 
 /// A background polling tenant around a [`Federation`]: starts at
-/// [`ReplicaDaemon::spawn`] (private [`Runtime`]) or
-/// [`ReplicaDaemon::spawn_on`] (tenant of a shared one), catches up
+/// [`ReplicaDaemon::spawn_on`] as a tenant of a [`Runtime`], catches up
 /// every [`DaemonConfig::poll_interval`] via the runtime's timer wheel,
 /// and stops cleanly (tick cancelled, in-flight pass waited out) on
 /// [`ReplicaDaemon::stop`] or drop — stop is prompt even mid-interval.
@@ -1307,10 +1299,9 @@ impl DaemonShared {
 pub struct ReplicaDaemon {
     shared: Arc<DaemonShared>,
     tick: Option<TimerTask>,
-    /// Present only for [`ReplicaDaemon::spawn`]: the private runtime
-    /// whose sole tenant this daemon is. Dropped (threads joined) after
-    /// the tick is cancelled.
-    _runtime: Option<Arc<Runtime>>,
+    /// The host runtime, kept alive for the daemon's lifetime: its timer
+    /// wheel drives the polls. Dropped after the tick is cancelled.
+    _runtime: Arc<Runtime>,
 }
 
 impl std::fmt::Debug for ReplicaDaemon {
@@ -1324,47 +1315,27 @@ impl std::fmt::Debug for ReplicaDaemon {
 
 impl ReplicaDaemon {
     /// Take ownership of `federation` and poll it every
-    /// [`DaemonConfig::poll_interval`] on a private single-worker
-    /// [`Runtime`] — the standalone deployment shape.
-    pub fn spawn(federation: Federation, config: DaemonConfig) -> ReplicaDaemon {
-        let runtime = Runtime::named("bx-replica-daemon", 1);
-        let mut daemon = Self::build(federation, config, &runtime, None);
-        daemon._runtime = Some(runtime);
-        daemon
-    }
-
-    /// [`ReplicaDaemon::spawn`] as a tenant of an existing shared
-    /// [`Runtime`]: poll ticks fire on the shared pool, and every pass
-    /// publishes [`HealthReport::Daemon`] on the runtime's unified
-    /// health channel under `component`.
+    /// [`DaemonConfig::poll_interval`] as a tenant of `runtime`: poll
+    /// ticks fire on the runtime's pool, and every pass publishes
+    /// [`HealthReport::Daemon`] — and every supervision transition
+    /// [`HealthReport::Source`] — on the runtime's health channel under
+    /// `component`. The daemon holds its own `Arc` of the runtime, so a
+    /// standalone daemon can be given `&Runtime::named("bx-replica-daemon", 1)`
+    /// and the caller keep no handle.
     pub fn spawn_on(
-        federation: Federation,
+        mut federation: Federation,
         config: DaemonConfig,
         runtime: &Arc<Runtime>,
         component: &str,
     ) -> ReplicaDaemon {
-        Self::build(federation, config, runtime, Some(component))
-    }
-
-    fn build(
-        mut federation: Federation,
-        config: DaemonConfig,
-        runtime: &Arc<Runtime>,
-        component: Option<&str>,
-    ) -> ReplicaDaemon {
-        if let Some(component) = component {
-            // Supervision transitions (degraded, quarantined, recovered,
-            // salvaged) publish on the same unified channel as the
-            // daemon's own pass reports.
-            federation.attach_runtime_health(runtime.health(), component);
-        }
+        federation.health = Some((Arc::clone(runtime.health()), component.to_string()));
         let shared = Arc::new(DaemonShared {
             federation: Mutex::new(federation),
             stats: Mutex::new(DaemonStats::default()),
             error: Mutex::new(None),
             errors: Mutex::new(BTreeMap::new()),
-            runtime_channel: component
-                .map(|component| (Arc::clone(runtime.health()), component.to_string())),
+            health: Arc::clone(runtime.health()),
+            component: component.to_string(),
             runtime: Arc::downgrade(runtime),
             poll_interval: config.poll_interval,
             retry_scheduled: AtomicBool::new(false),
@@ -1381,7 +1352,7 @@ impl ReplicaDaemon {
         ReplicaDaemon {
             shared,
             tick: Some(tick),
-            _runtime: None,
+            _runtime: Arc::clone(runtime),
         }
     }
 
@@ -1508,6 +1479,17 @@ mod tests {
     use bx_theory::Bx;
 
     use crate::test_support::unique_dir;
+
+    /// A daemon on a one-worker runtime whose only handle is the
+    /// daemon's own.
+    fn spawn_daemon(federation: Federation, config: DaemonConfig) -> ReplicaDaemon {
+        ReplicaDaemon::spawn_on(
+            federation,
+            config,
+            &Runtime::named("bx-replica-daemon", 1),
+            "daemon",
+        )
+    }
 
     fn entry(title: &str) -> ExampleEntry {
         ExampleEntry::builder(title)
@@ -2066,7 +2048,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut daemon = ReplicaDaemon::spawn(
+        let mut daemon = spawn_daemon(
             federation,
             DaemonConfig {
                 poll_interval: Duration::from_millis(5),
@@ -2286,7 +2268,7 @@ mod tests {
         let mut federation =
             Federation::open("fed", vec![(SourceId::new("a"), dir_a.clone())]).unwrap();
         let health = Arc::new(RuntimeHealth::new());
-        federation.attach_runtime_health(&health, "fed");
+        federation.health = Some((Arc::clone(&health), "fed".to_string()));
 
         // Steady healthy state publishes nothing.
         federation.catch_up().unwrap();
@@ -2414,7 +2396,7 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&a.drain_events()).unwrap();
         let federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
-        let daemon = ReplicaDaemon::spawn(federation, DaemonConfig::default());
+        let daemon = spawn_daemon(federation, DaemonConfig::default());
         let federation = daemon.into_federation();
         assert_eq!(federation.name(), "fed");
         std::fs::remove_dir_all(&dir).ok();
@@ -2427,7 +2409,7 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&a.drain_events()).unwrap();
         let federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
-        let mut daemon = ReplicaDaemon::spawn(
+        let mut daemon = spawn_daemon(
             federation,
             DaemonConfig {
                 poll_interval: Duration::from_secs(5),
@@ -2452,6 +2434,38 @@ mod tests {
     }
 
     #[test]
+    fn a_daemon_on_a_dropped_runtime_still_polls_on_its_own() {
+        let dir = unique_dir("daemon-dropped-runtime");
+        let a = primary("alpha");
+        let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        let federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
+        // The caller keeps no runtime handle, and never forces a pass:
+        // only the daemon's periodic tick can pick the new event up.
+        let mut daemon = spawn_daemon(
+            federation,
+            DaemonConfig {
+                poll_interval: Duration::from_millis(5),
+            },
+        );
+        // Let the start-up pass land first, so the new event is left to
+        // a later tick.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while daemon.stats().polls == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        a.contribute("alice", entry("COMPOSERS")).unwrap();
+        backend.record(&a.drain_events()).unwrap();
+        while daemon.query(&["composers"]).is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(daemon.query(&["composers"]).len(), 1, "a tick applied it");
+        assert!(daemon.stats().polls >= 2);
+        daemon.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn daemon_on_a_shared_runtime_reports_on_the_unified_channel() {
         let dir_a = unique_dir("daemon-shared-a");
         let dir_b = unique_dir("daemon-shared-b");
@@ -2467,7 +2481,7 @@ mod tests {
             (SourceId::new("b"), dir_b.clone()),
         ];
 
-        let runtime = crate::runtime::Runtime::new(2);
+        let runtime = Runtime::named("bx-worker", 2);
         // The shared-pool cold open matches the per-pool one exactly.
         let sequential = Federation::open("fed", sources.clone()).unwrap();
         let federation = Federation::open_on("fed", sources, &runtime).unwrap();

@@ -1,19 +1,14 @@
 //! The shared background runtime: one scheduler for all background work.
 //!
-//! Every background tenant of a node schedules onto one [`Runtime`]:
+//! Every background tenant of a node — the durability writer, the
+//! replica daemon, compaction and lint — is hosted by one [`Runtime`],
+//! built with [`Runtime::named`]:
 //!
-//! * **[`WorkerPool`]** — a fixed set of named threads
-//!   (`bx-worker-0` … `bx-worker-{n-1}`) draining a shared job queue.
-//!   Ordered scatter/gather ([`WorkerPool::scatter`]) is the scoped-job
-//!   primitive: results come back in **submission order** regardless of
-//!   completion order, so the first error in submission order is the
-//!   one reported, not the first to be discovered. Workers are
-//!   panic-safe: a panicking job is caught, counted
-//!   ([`PoolStats::panics_caught`]) and the worker keeps draining;
-//!   `scatter` re-raises the **first panic in submission order** on the
-//!   calling thread. A `scatter` issued *from* a worker thread runs the
-//!   nested batch inline on the calling worker instead of deadlocking
-//!   the pool.
+//! * **Worker pool** — a fixed set of named threads (`{prefix}-0` …
+//!   `{prefix}-{n-1}`) draining a shared queue of fire-and-forget jobs
+//!   ([`Runtime::execute`]). Workers are panic-safe: a panicking job is
+//!   caught, counted ([`PoolStats::panics_caught`]) and the worker keeps
+//!   draining.
 //!
 //! * **Timer wheel** — a single lazy `bx-timer` thread tracking
 //!   deadlines; due jobs are fired *onto the pool*, never run on the
@@ -28,42 +23,31 @@
 //!   concurrently with itself, with coalesced wakeups (`notify()` while
 //!   running marks a re-run instead of queueing a duplicate).
 //!
-//! * **[`RuntimeHealth`]** — the unified health/stats channel. Every
-//!   tenant (durability pipeline, replica daemon, compaction, lint)
+//! * **[`RuntimeHealth`]** — the one health/stats channel. Every tenant
 //!   reports [`HealthReport`]s tagged with a component name; observers
-//!   drain the bounded backlog or read the latest-per-component map,
-//!   superseding the ad-hoc per-component plumbing.
+//!   drain the bounded backlog or read the latest-per-component map.
 //!
 //! The pool runs `'static` jobs: callers share read-only inputs via
-//! [`std::sync::Arc`] and partition mutable state by *moving* disjoint
-//! pieces into each job. `scatter` blocks until every submitted job has
-//! finished, so by the time it returns no worker holds any job state.
+//! [`std::sync::Arc`] and move whatever mutable state a job needs into
+//! it.
 //!
 //! Cold restore is not a tenant: replicas and federations open through
 //! the one sequential decode/fold path (see [`crate::replica::Replica::open`]).
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use crate::pipeline::PipelineStats;
 
 /// One queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-thread_local! {
-    /// Set for the lifetime of every pool worker thread; lets `scatter`
-    /// detect that it is being called from inside the pool (nested
-    /// scatter) and fall back to running the batch inline instead of
-    /// deadlocking. Worker threads are also identifiable from the
-    /// outside by their `{prefix}-{i}` names.
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Counters a [`WorkerPool`] keeps about itself; snapshot via
-/// [`WorkerPool::stats`] or push one as [`HealthReport::Pool`].
+/// Counters the runtime's worker pool keeps about itself; snapshot via
+/// [`Runtime::pool_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Worker threads in the pool.
@@ -84,7 +68,8 @@ struct PoolShared {
     panics_caught: AtomicU64,
 }
 
-/// A fixed-size pool of named worker threads; see the module docs.
+/// The runtime's fixed-size pool of named worker threads; see the
+/// module docs.
 ///
 /// Dropping the pool signals shutdown and joins every worker: jobs
 /// already dequeued run to completion, queued-but-unstarted jobs are
@@ -92,31 +77,16 @@ struct PoolShared {
 /// submitted work is silently lost. A panicking job never kills its
 /// worker: the unwind is caught in the worker loop, counted, and the
 /// thread returns to draining the queue.
-pub struct WorkerPool {
+struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.workers.len())
-            .finish()
-    }
-}
-
 impl WorkerPool {
-    /// A pool of `threads` workers (clamped to at least 1), named
-    /// `bx-worker-0` … so they are identifiable in thread dumps.
-    pub fn new(threads: usize) -> WorkerPool {
-        WorkerPool::named("bx-worker", threads)
-    }
-
-    /// A pool whose workers are named `{prefix}-0` … `{prefix}-{n-1}`;
-    /// dedicated runtimes (the single-thread durability writer, a lint
-    /// engine with its own workers) use this so thread dumps still say
-    /// who owns each thread.
-    pub fn named(prefix: &str, threads: usize) -> WorkerPool {
+    /// A pool of `threads` workers (clamped to at least 1) named
+    /// `{prefix}-0` … `{prefix}-{n-1}`, so thread dumps say who owns
+    /// each thread.
+    fn named(prefix: &str, threads: usize) -> WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
@@ -128,39 +98,14 @@ impl WorkerPool {
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                Self::spawn_named(&format!("{prefix}-{i}"), move || {
-                    IN_POOL_WORKER.with(|f| f.set(true));
-                    Self::work(&shared)
-                })
+                Self::spawn_named(&format!("{prefix}-{i}"), move || Self::work(&shared))
             })
             .collect();
         WorkerPool { shared, workers }
     }
 
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Snapshot of the pool's own counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            threads: self.workers.len(),
-            jobs_run: self.shared.jobs_run.load(Ordering::Relaxed),
-            panics_caught: self.shared.panics_caught.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Whether the calling thread is a pool worker (of *any* pool).
-    /// `scatter` uses this to run nested batches inline.
-    pub fn on_worker_thread() -> bool {
-        IN_POOL_WORKER.with(|f| f.get())
-    }
-
-    /// Spawn one named OS thread (the naming discipline every bx-core
-    /// background thread follows; also used directly by one-shot helpers
-    /// that do not need pooling).
-    pub fn spawn_named<T: Send + 'static>(
+    /// Spawn one named OS thread (a worker, or the timer thread).
+    fn spawn_named<T: Send + 'static>(
         name: &str,
         f: impl FnOnce() -> T + Send + 'static,
     ) -> JoinHandle<T> {
@@ -171,90 +116,11 @@ impl WorkerPool {
     }
 
     /// Enqueue one fire-and-forget job.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
         let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         queue.push_back(Box::new(job));
         drop(queue);
         self.shared.available.notify_one();
-    }
-
-    /// Run a batch of jobs to completion and return their results **in
-    /// submission order** (independent of which worker finished first).
-    /// Blocks the calling thread until the whole batch is done — the
-    /// scoped-job discipline: after `scatter` returns, no worker holds
-    /// any state from this batch.
-    ///
-    /// Panic contract: every job runs (a panic in one job does not stop
-    /// the others), and if any panicked, the **first panic in
-    /// submission order** is re-raised on the calling thread once the
-    /// batch is drained. The workers themselves survive.
-    ///
-    /// Called from *inside* a pool worker (any pool), the batch runs
-    /// inline on the calling worker instead — same ordering and panic
-    /// contract — because parking a worker in `scatter` while the
-    /// nested jobs sit behind it in the queue can deadlock the pool.
-    pub fn scatter<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        if Self::on_worker_thread() {
-            return self.scatter_inline(jobs);
-        }
-        let n = jobs.len();
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        for (i, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            let shared = Arc::clone(&self.shared);
-            self.execute(move || {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                if result.is_err() {
-                    shared.panics_caught.fetch_add(1, Ordering::Relaxed);
-                }
-                // A receiver dropped early (scatter unwound) is fine:
-                // the result is simply discarded.
-                let _ = tx.send((i, result));
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
-        for (i, result) in rx.iter().take(n) {
-            slots[i] = Some(result);
-        }
-        Self::unwrap_batch(slots)
-    }
-
-    /// The nested-scatter fallback: run the batch on the calling worker,
-    /// preserving the ordering and first-panic-in-submission-order
-    /// contract of the pooled path.
-    fn scatter_inline<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        let slots: Vec<Option<std::thread::Result<T>>> = jobs
-            .into_iter()
-            .map(|job| {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                if result.is_err() {
-                    self.shared.panics_caught.fetch_add(1, Ordering::Relaxed);
-                }
-                self.shared.jobs_run.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            })
-            .collect();
-        Self::unwrap_batch(slots)
-    }
-
-    /// Unwrap a completed batch: re-raise the first panic in submission
-    /// order, otherwise return the values in submission order.
-    fn unwrap_batch<T>(slots: Vec<Option<std::thread::Result<T>>>) -> Vec<T> {
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot.expect("every scattered job reports exactly once") {
-                Ok(value) => results.push(value),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        results
     }
 
     /// The worker loop: drain jobs until shutdown *and* the queue is
@@ -315,15 +181,11 @@ impl Drop for WorkerPool {
 pub enum HealthReport {
     /// The durability pipeline (background writer).
     Pipeline {
-        enqueued: u64,
-        durable: u64,
-        dropped: u64,
-        backpressure_waits: u64,
-        fsyncs: u64,
-        group_commits: u64,
-        /// Current adaptive group-commit window, in microseconds.
-        window_micros: u64,
+        /// The writer's counters at the commit point (or failure).
+        stats: PipelineStats,
+        /// Events sitting in the writer's channel.
         queue_len: usize,
+        /// The sticky writer error, once the writer has failed.
         error: Option<String>,
     },
     /// A replica daemon's polling loop.
@@ -374,8 +236,6 @@ pub enum HealthReport {
         /// How many torn bytes were dropped.
         bytes_dropped: u64,
     },
-    /// The pool's own counters.
-    Pool(PoolStats),
 }
 
 /// One sequenced, component-tagged health report.
@@ -906,7 +766,7 @@ impl WeakSerialTask {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// The shared background runtime: one bounded [`WorkerPool`], one timer
+/// The shared background runtime: one bounded worker pool, one timer
 /// wheel, one [`RuntimeHealth`] channel. Components "rent" capacity —
 /// the durability writer and lint fold as [`SerialTask`]s, the replica
 /// daemon and compaction triggers as timer entries, lint checks as
@@ -926,19 +786,15 @@ pub struct Runtime {
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("threads", &self.pool.threads())
+            .field("threads", &self.pool.workers.len())
             .finish()
     }
 }
 
 impl Runtime {
-    /// A runtime with `threads` pool workers named `bx-worker-{i}`.
-    pub fn new(threads: usize) -> Arc<Runtime> {
-        Runtime::named("bx-worker", threads)
-    }
-
-    /// A runtime whose workers carry a custom name prefix (dedicated
-    /// single-tenant runtimes use this, e.g. `bx-durability`).
+    /// A runtime with `threads` pool workers (at least 1) named
+    /// `{prefix}-0` … `{prefix}-{n-1}`. Tenants hold their own `Arc`,
+    /// so a caller may hand one to a tenant and drop its handle.
     pub fn named(prefix: &str, threads: usize) -> Arc<Runtime> {
         let pool = Arc::new(WorkerPool::named(prefix, threads));
         Arc::new(Runtime {
@@ -948,12 +804,7 @@ impl Runtime {
         })
     }
 
-    /// The scatter/gather pool.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
-    /// The unified health channel.
+    /// The health channel every tenant reports on.
     pub fn health(&self) -> &Arc<RuntimeHealth> {
         &self.health
     }
@@ -963,24 +814,13 @@ impl Runtime {
         self.pool.execute(job);
     }
 
-    /// Ordered scatter/gather on the pool; see [`WorkerPool::scatter`].
-    pub fn scatter<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        self.pool.scatter(jobs)
-    }
-
     /// Snapshot the pool's counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Publish the pool's counters on the health channel as
-    /// `component` (dashboards poll this alongside tenant reports).
-    pub fn report_pool_health(&self, component: &str) {
-        self.health
-            .report(component, HealthReport::Pool(self.pool.stats()));
+        PoolStats {
+            threads: self.pool.workers.len(),
+            jobs_run: self.pool.shared.jobs_run.load(Ordering::Relaxed),
+            panics_caught: self.pool.shared.panics_caught.load(Ordering::Relaxed),
+        }
     }
 
     /// A serialized task on this runtime's pool; see [`SerialTask`].
@@ -1049,31 +889,16 @@ impl Runtime {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn scatter_returns_results_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
-            .map(|i| {
-                Box::new(move || {
-                    // Vary the work so completion order scrambles.
-                    std::thread::sleep(std::time::Duration::from_micros((64 - i) as u64 * 10));
-                    i * i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let results = pool.scatter(jobs);
-        assert_eq!(results, (0..64).map(|i| i * i).collect::<Vec<_>>());
-    }
+    use std::sync::mpsc;
 
     #[test]
     fn drop_drains_queued_jobs() {
         let counter = Arc::new(AtomicUsize::new(0));
         {
-            let pool = WorkerPool::new(2);
+            let runtime = Runtime::named("bx-worker", 2);
             for _ in 0..32 {
                 let counter = Arc::clone(&counter);
-                pool.execute(move || {
+                runtime.execute(move || {
                     counter.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -1083,133 +908,55 @@ mod tests {
 
     #[test]
     fn workers_are_named() {
-        let pool = WorkerPool::new(1);
-        let jobs: Vec<Box<dyn FnOnce() -> String + Send>> = vec![Box::new(|| {
-            std::thread::current().name().unwrap_or("").to_string()
-        })];
-        assert_eq!(pool.scatter(jobs), vec!["bx-worker-0".to_string()]);
-    }
-
-    #[test]
-    fn empty_scatter_is_fine() {
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        assert!(pool.scatter(jobs).is_empty());
+        let runtime = Runtime::named("bx-worker", 1);
+        let (tx, rx) = mpsc::channel();
+        runtime.execute(move || {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            tx.send(name).unwrap();
+        });
+        let name = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(name, "bx-worker-0");
     }
 
     /// The headline regression: a panicking job must not kill its
     /// worker. Before the fix, each panic unwound one worker thread for
-    /// good; after enough panics the pool was empty and the next
-    /// scatter blocked forever on its result channel.
+    /// good; after enough panics the pool was empty and every later job
+    /// sat in the queue forever.
     #[test]
     fn pool_survives_panicking_jobs() {
-        let pool = WorkerPool::new(2);
+        let runtime = Runtime::named("bx-worker", 2);
         // More panics than workers: under the old behaviour the pool is
         // certainly dead after these.
         for i in 0..8 {
-            pool.execute(move || panic!("injected panic {i}"));
+            runtime.execute(move || panic!("injected panic {i}"));
         }
-        // A subsequent full-width scatter still completes.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-            .map(|i| Box::new(move || i + 1) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let results = pool.scatter(jobs);
+        // A subsequent full-width batch still completes.
+        let (tx, rx) = mpsc::channel();
+        for i in 0..16usize {
+            let tx = tx.clone();
+            runtime.execute(move || tx.send(i + 1).unwrap());
+        }
+        drop(tx);
+        let mut results: Vec<usize> = rx.iter().collect();
+        results.sort_unstable();
         assert_eq!(results, (1..=16).collect::<Vec<_>>());
         // The last panicking job can still be unwinding on a sibling
-        // worker when scatter returns (and `jobs_run` ticks after each
-        // scatter job has already reported); wait for the counters to
-        // settle.
+        // worker when the batch drains (and `jobs_run` ticks after each
+        // job has already sent); wait for the counters to settle.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while (pool.stats().panics_caught < 8 || pool.stats().jobs_run < 24)
+        while (runtime.pool_stats().panics_caught < 8 || runtime.pool_stats().jobs_run < 24)
             && Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let stats = pool.stats();
+        let stats = runtime.pool_stats();
         assert_eq!(stats.panics_caught, 8);
         assert!(stats.jobs_run >= 24);
     }
 
     #[test]
-    fn scatter_reraises_first_panic_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 || i == 5 {
-                        // Make the *later* panic finish first so the
-                        // test distinguishes submission order from
-                        // completion order.
-                        if i == 2 {
-                            std::thread::sleep(Duration::from_millis(30));
-                        }
-                        panic!("boom-{i}");
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool.scatter(jobs)))
-            .expect_err("a panicked batch re-raises");
-        let message = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string payload>".into());
-        assert_eq!(message, "boom-2", "first panic in submission order wins");
-        // And the pool is still alive.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![Box::new(|| 7), Box::new(|| 8)];
-        assert_eq!(pool.scatter(jobs), vec![7, 8]);
-    }
-
-    #[test]
-    fn nested_scatter_runs_inline_on_the_worker() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let inner_pool = Arc::clone(&pool);
-        type NestedJob = Box<dyn FnOnce() -> (bool, Vec<usize>) + Send>;
-        let jobs: Vec<NestedJob> = vec![Box::new(move || {
-            // From inside a pool job, the worker is detectable and a
-            // nested scatter must complete (inline) rather than
-            // deadlock every worker in `scatter`.
-            let detected = WorkerPool::on_worker_thread();
-            let nested: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-                .map(|i| Box::new(move || i * 3) as Box<dyn FnOnce() -> usize + Send>)
-                .collect();
-            (detected, inner_pool.scatter(nested))
-        })];
-        assert!(!WorkerPool::on_worker_thread());
-        let mut results = pool.scatter(jobs);
-        let (detected, nested) = results.remove(0);
-        assert!(detected, "worker thread is detectable from inside a job");
-        assert_eq!(nested, (0..8).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn nested_scatter_preserves_panic_contract() {
-        let pool = Arc::new(WorkerPool::new(1));
-        let inner_pool = Arc::clone(&pool);
-        let ran_after = Arc::new(AtomicUsize::new(0));
-        let ran = Arc::clone(&ran_after);
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(move || {
-            let ran = Arc::clone(&ran);
-            let nested: Vec<Box<dyn FnOnce() + Send>> = vec![
-                Box::new(|| panic!("nested-boom")),
-                // Later jobs in the batch still run before the panic
-                // re-raises — same contract as the pooled path.
-                Box::new(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }),
-            ];
-            let err = catch_unwind(AssertUnwindSafe(|| inner_pool.scatter(nested)))
-                .expect_err("nested panic re-raises on the worker");
-            assert_eq!(err.downcast_ref::<&str>(), Some(&"nested-boom"));
-        })];
-        pool.scatter(jobs);
-        assert_eq!(ran_after.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn periodic_timer_fires_and_cancels_promptly() {
-        let runtime = Runtime::new(2);
+        let runtime = Runtime::named("bx-worker", 2);
         let fired = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&fired);
         let task = runtime.schedule_periodic(Duration::from_millis(5), move || {
@@ -1234,7 +981,7 @@ mod tests {
 
     #[test]
     fn one_shot_timer_fires_once() {
-        let runtime = Runtime::new(1);
+        let runtime = Runtime::named("bx-worker", 1);
         let fired = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&fired);
         runtime.schedule_once(Duration::from_millis(3), move || {
@@ -1250,7 +997,7 @@ mod tests {
 
     #[test]
     fn serial_task_coalesces_and_never_overlaps() {
-        let runtime = Runtime::new(4);
+        let runtime = Runtime::named("bx-worker", 4);
         let running = Arc::new(AtomicUsize::new(0));
         let max_seen = Arc::new(AtomicUsize::new(0));
         let runs = Arc::new(AtomicUsize::new(0));
@@ -1278,7 +1025,7 @@ mod tests {
 
     #[test]
     fn serial_task_survives_a_panicking_run() {
-        let runtime = Runtime::new(1);
+        let runtime = Runtime::named("bx-worker", 1);
         let runs = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&runs);
         let task = runtime.serial_task(move || {
@@ -1306,13 +1053,11 @@ mod tests {
             health.report(
                 "writer",
                 HealthReport::Pipeline {
-                    enqueued: i,
-                    durable: i,
-                    dropped: 0,
-                    backpressure_waits: 0,
-                    fsyncs: 0,
-                    group_commits: 0,
-                    window_micros: 0,
+                    stats: PipelineStats {
+                        enqueued: i,
+                        durable: i,
+                        ..PipelineStats::default()
+                    },
                     queue_len: 0,
                     error: None,
                 },
@@ -1361,7 +1106,7 @@ mod tests {
         // A detached job can end up holding the last Arc<Runtime>; when
         // it finishes, Drop runs *on a worker thread* and must not try
         // to join that same thread.
-        let runtime = Runtime::new(2);
+        let runtime = Runtime::named("bx-worker", 2);
         let held = Arc::clone(&runtime);
         let (tx, rx) = mpsc::channel::<()>();
         runtime.execute(move || {

@@ -683,7 +683,7 @@ impl EventLogBackend {
     /// parsing any of them — the count is needed on hot open/monitoring
     /// paths where deserialising every event just to discard it would
     /// dominate. A torn final line (no terminating newline) is not
-    /// counted, exactly as [`Self::read_log_file`] would drop it; a
+    /// counted, exactly as a restore would drop it; a
     /// complete-but-corrupt line still counts here and surfaces as an
     /// error at `restore` time instead.
     pub fn pending_events(&self) -> Result<usize, RepoError> {

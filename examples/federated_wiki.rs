@@ -8,10 +8,12 @@
 
 use std::time::Duration;
 
-use bx::core::pipeline::BackgroundWriter;
+use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx::core::replica::{DaemonConfig, Federation, ReplicaDaemon, SourceId};
 use bx::core::storage::{AutoCompactingEventLog, CompactionPolicy};
-use bx::core::{EntryId, ExampleEntry, ExampleType, ManuscriptOptions, Principal, Repository};
+use bx::core::{
+    EntryId, ExampleEntry, ExampleType, ManuscriptOptions, Principal, Repository, Runtime,
+};
 use std::sync::Arc;
 
 fn entry(title: &str, overview: &str) -> ExampleEntry {
@@ -38,7 +40,12 @@ fn primary(name: &str, dir: &std::path::Path) -> (Repository, Arc<BackgroundWrit
         },
     )
     .expect("event log opens");
-    let writer = Arc::new(BackgroundWriter::spawn(backend));
+    let writer = Arc::new(BackgroundWriter::on_runtime(
+        backend,
+        PipelineConfig::default(),
+        &Runtime::named("bx-durability", 1),
+        &format!("writer:{name}"),
+    ));
     repo.subscribe_with_backfill(writer.clone());
     repo.register(Principal::member("alice")).expect("fresh");
     (repo, writer)
@@ -80,11 +87,13 @@ fn main() {
         federation.snapshot().records.len(),
         federation.source_ids().len()
     );
-    let mut daemon = ReplicaDaemon::spawn(
+    let mut daemon = ReplicaDaemon::spawn_on(
         federation,
         DaemonConfig {
             poll_interval: Duration::from_millis(10),
         },
+        &Runtime::named("bx-replica-daemon", 1),
+        "daemon",
     );
 
     // Federated search: both COMPOSERS entries, namespaced apart.

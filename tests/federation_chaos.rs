@@ -466,7 +466,7 @@ fn quarantined_corrupt_sources_salvage_and_report_on_the_runtime_channel() {
     let (_, generation_b) = EventLogBackend::read_state_in(&dir_b).unwrap();
     corrupt_append_binary(&dir_b, &generation_b).unwrap();
 
-    let runtime = Runtime::new(2);
+    let runtime = Runtime::named("bx-worker", 2);
     let daemon = ReplicaDaemon::spawn_on(
         federation,
         DaemonConfig {

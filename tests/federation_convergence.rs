@@ -13,7 +13,7 @@ use std::time::Duration;
 use bx::core::index::SearchIndex;
 use bx::core::replica::{federate_snapshots, DaemonConfig, Federation, ReplicaDaemon, SourceId};
 use bx::core::wiki_bx::WikiBx;
-use bx::core::ManuscriptOptions;
+use bx::core::{ManuscriptOptions, Runtime};
 use bx::theory::Bx;
 use bx_testkit::federation::{
     arb_federation_script, drive_federation, FederationScript, SourcePlan,
@@ -172,9 +172,9 @@ proptest! {
     }
 }
 
-/// The daemon serves a converging federation from its background thread,
+/// The daemon serves a converging federation as a runtime tenant,
 /// surfaces serving reads under the poll lock, and stops cleanly — the
-/// polling thread is joined, twice-stopping is a no-op, and the
+/// poll tick is cancelled, twice-stopping is a no-op, and the
 /// federation comes back out for direct use.
 #[test]
 fn daemon_serves_and_stops_clean() {
@@ -213,11 +213,13 @@ fn daemon_serves_and_stops_clean() {
     };
 
     let federation = open_federation(&dirs);
-    let mut daemon = ReplicaDaemon::spawn(
+    let mut daemon = ReplicaDaemon::spawn_on(
         federation,
         DaemonConfig {
             poll_interval: Duration::from_millis(5),
         },
+        &Runtime::named("bx-replica-daemon", 1),
+        "daemon",
     );
     assert!(daemon.is_running());
 

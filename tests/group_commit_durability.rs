@@ -1,18 +1,32 @@
 //! The group-commit durability pipeline end to end over real files:
 //! concurrent producers converge through one fsync per window, the
-//! window composes with auto-compaction's generation rolls, periodic
-//! health reports surface the amortisation, and the per-batch default
-//! stays exactly as durable as it always was.
+//! window composes with auto-compaction's generation rolls, the health
+//! reports on the runtime channel surface the amortisation, and the
+//! per-batch default stays exactly as durable as it always was.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
+use bx::core::pipeline::{BackgroundWriter, PipelineConfig, PipelineStats};
 use bx::core::storage::{
     AutoCompactingEventLog, CompactionPolicy, EventLogBackend, StorageBackend,
 };
-use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository};
+use bx::core::{EntryId, ExampleEntry, ExampleType, HealthReport, Principal, Repository, Runtime};
 use bx_testkit::ops::unique_temp_dir;
+
+/// A writer on a one-worker runtime whose only handle is the writer's
+/// own.
+fn writer_on<B: StorageBackend + Send + 'static>(
+    backend: B,
+    config: PipelineConfig,
+) -> BackgroundWriter {
+    BackgroundWriter::on_runtime(
+        backend,
+        config,
+        &Runtime::named("bx-durability", 1),
+        "writer",
+    )
+}
 
 fn entry(title: &str) -> ExampleEntry {
     ExampleEntry::builder(title)
@@ -44,7 +58,7 @@ fn seeded(producers: usize) -> (Arc<Repository>, Vec<EntryId>) {
 fn concurrent_producers_converge_through_group_commit() {
     let dir = unique_temp_dir("group-commit-concurrent");
     let (repo, ids) = seeded(4);
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(writer_on(
         EventLogBackend::open(&dir).unwrap(),
         PipelineConfig::group_commit(Duration::from_millis(2)),
     ));
@@ -101,7 +115,7 @@ fn group_commit_composes_with_auto_compaction() {
         },
     )
     .unwrap();
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(writer_on(
         backend,
         PipelineConfig::group_commit(Duration::from_millis(1)),
     ));
@@ -129,12 +143,12 @@ fn group_commit_composes_with_auto_compaction() {
 fn periodic_health_reports_show_the_amortisation() {
     let dir = unique_temp_dir("group-commit-health");
     let (repo, ids) = seeded(1);
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let runtime = Runtime::named("bx-durability", 1);
+    let writer = Arc::new(BackgroundWriter::on_runtime(
         EventLogBackend::open(&dir).unwrap(),
-        PipelineConfig {
-            health_every: 1,
-            ..PipelineConfig::group_commit(Duration::from_millis(1))
-        },
+        PipelineConfig::group_commit(Duration::from_millis(1)),
+        &runtime,
+        "writer",
     ));
     repo.subscribe_with_backfill(writer.clone());
     for i in 0..16 {
@@ -142,20 +156,30 @@ fn periodic_health_reports_show_the_amortisation() {
             .unwrap();
     }
     writer.flush().unwrap();
+    // A report lands just after the commit it describes wakes the
+    // flusher; shutdown waits for the writer's last pass.
+    writer.shutdown().unwrap();
 
-    let reports = writer.drain_health_reports();
+    let reports: Vec<(PipelineStats, Option<String>)> = runtime
+        .health()
+        .drain()
+        .into_iter()
+        .map(|entry| match entry.report {
+            HealthReport::Pipeline { stats, error, .. } => (stats, error),
+            other => panic!("unexpected report {other:?}"),
+        })
+        .collect();
     assert!(!reports.is_empty());
-    let last = reports.last().unwrap();
-    assert!(last.healthy());
-    assert_eq!(last.stats.group_commits, last.stats.fsyncs);
+    let (last, error) = reports.last().unwrap();
+    assert_eq!(*error, None);
+    assert_eq!(last.group_commits, last.fsyncs);
+    assert_eq!(*last, writer.stats());
     for pair in reports.windows(2) {
         assert!(
-            pair[0].stats.group_commits < pair[1].stats.group_commits,
-            "each health_every=1 report marks one more window"
+            pair[0].0.group_commits < pair[1].0.group_commits,
+            "each report marks one more window"
         );
     }
-    assert!(writer.health().healthy());
-    writer.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -163,8 +187,9 @@ fn periodic_health_reports_show_the_amortisation() {
 fn per_batch_default_remains_one_call_durable() {
     let dir = unique_temp_dir("per-batch-default");
     let (repo, ids) = seeded(1);
-    let writer = Arc::new(BackgroundWriter::spawn(
+    let writer = Arc::new(writer_on(
         EventLogBackend::open(&dir).unwrap(),
+        PipelineConfig::default(),
     ));
     repo.subscribe_with_backfill(writer.clone());
     for i in 0..8 {

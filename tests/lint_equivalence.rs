@@ -13,13 +13,23 @@ use std::sync::Arc;
 use bx::core::event::{EntryDelta, RepoEvent};
 use bx::core::replica::{Federation, Replica, SourceId};
 use bx::core::storage::{EventLogBackend, StorageBackend};
-use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository};
+use bx::core::{EntryId, ExampleEntry, ExampleType, Principal, Repository, Runtime};
 use bx::lint::{full_check, CheckCatalog, LawChecker, LintLaw, Linter, Severity};
 use bx_testkit::ops::{apply_op, arb_ops, scripted_repository, unique_temp_dir, valid_entry};
 use proptest::prelude::*;
 
 fn empty_catalog() -> Arc<CheckCatalog> {
     Arc::new(CheckCatalog::new())
+}
+
+/// A checker on a two-worker runtime whose only handle is the
+/// checker's own.
+fn checker() -> Arc<LawChecker> {
+    Arc::new(LawChecker::on_runtime(
+        empty_catalog(),
+        &Runtime::named("bx-lint", 2),
+        "lint",
+    ))
 }
 
 proptest! {
@@ -50,7 +60,7 @@ proptest! {
     #[test]
     fn law_checker_on_the_bus_equals_full_check(ops in arb_ops(24)) {
         let repo = scripted_repository();
-        let checker = Arc::new(LawChecker::new(empty_catalog()));
+        let checker = checker();
         // Backfill delivers the founding history the checker missed.
         repo.subscribe_with_backfill(checker.clone());
         for op in &ops {
@@ -74,7 +84,7 @@ proptest! {
         backend.record(&repo.drain_events()).unwrap();
 
         let mut replica = Replica::open(&dir).unwrap();
-        let checker = Arc::new(LawChecker::new(empty_catalog()));
+        let checker = checker();
         replica.subscribe(checker.clone());
 
         let mid = ops.len() / 2;
@@ -169,7 +179,7 @@ fn federation_lint_flags_the_violating_source() {
         ],
     )
     .unwrap();
-    let checker = Arc::new(LawChecker::new(empty_catalog()));
+    let checker = checker();
     federation.subscribe(checker.clone());
     checker.wait_idle();
 

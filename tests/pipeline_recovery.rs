@@ -14,10 +14,24 @@ use bx::core::replica::Replica;
 use bx::core::repo::RepositorySnapshot;
 use bx::core::storage::{EventLogBackend, StorageBackend};
 use bx::core::wiki_bx::WikiBx;
-use bx::core::RepoError;
+use bx::core::{RepoError, Runtime};
 use bx::theory::Bx;
 use bx_testkit::faults::{torn_append, CrashingBackend};
 use bx_testkit::ops::{apply_ops, scripted_repository, unique_temp_dir, RepoOp};
+
+/// A writer on a one-worker runtime whose only handle is the writer's
+/// own.
+fn writer_on<B: StorageBackend + Send + 'static>(
+    backend: B,
+    config: PipelineConfig,
+) -> BackgroundWriter {
+    BackgroundWriter::on_runtime(
+        backend,
+        config,
+        &Runtime::named("bx-durability", 1),
+        "writer",
+    )
+}
 
 /// A deterministic script big enough to outlive the fuse.
 fn script() -> Vec<RepoOp> {
@@ -55,7 +69,7 @@ fn killed_writer_and_torn_append_recover_to_the_primary() {
     let mut all_events = repo.drain_events();
     let fuse = 7;
     let backend = CrashingBackend::new(EventLogBackend::open(&dir).unwrap(), fuse);
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(writer_on(
         backend,
         PipelineConfig {
             channel_capacity: 4, // keep batches small so the crash lands mid-stream
@@ -130,7 +144,7 @@ fn mid_window_kill_keeps_acknowledged_events_and_loses_a_clean_suffix() {
     // windows, so the window boundaries are deterministic. The fsync
     // fuse burns at the *second* window's commit point.
     let backend = CrashingBackend::fail_at_flush(EventLogBackend::open(&dir).unwrap(), 1);
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(writer_on(
         backend,
         PipelineConfig::group_commit(Duration::from_secs(600)),
     ));
@@ -202,7 +216,7 @@ fn replica_converges_while_the_writer_crashes_and_is_replaced() {
 
     // First writer: crashes mid-script.
     let fuse = 5;
-    let writer = Arc::new(BackgroundWriter::with_config(
+    let writer = Arc::new(writer_on(
         CrashingBackend::new(EventLogBackend::open(&dir).unwrap(), fuse),
         PipelineConfig {
             channel_capacity: 2,
@@ -218,7 +232,7 @@ fn replica_converges_while_the_writer_crashes_and_is_replaced() {
     all_events.extend(repo.drain_events());
     assert!(writer.flush().is_err(), "fuse burnt during the first half");
     // The repository still holds this sink (sinks cannot be removed), so
-    // join the dead writer thread explicitly rather than via Drop.
+    // shut the dead writer down explicitly rather than via Drop.
     assert!(writer.shutdown().is_err());
     drop(writer);
     torn_append(&dir.join("events-0.jsonl")).unwrap();
@@ -238,8 +252,9 @@ fn replica_converges_while_the_writer_crashes_and_is_replaced() {
         .pending_events()
         .unwrap();
     assert_eq!(durable, fuse);
-    let writer = Arc::new(BackgroundWriter::spawn(
+    let writer = Arc::new(writer_on(
         EventLogBackend::open(&dir).unwrap(),
+        PipelineConfig::default(),
     ));
     writer.enqueue(&all_events[durable..]);
     repo.subscribe(writer.clone());

@@ -8,13 +8,25 @@
 use std::sync::Arc;
 
 use bx::core::index::SearchIndex;
-use bx::core::pipeline::BackgroundWriter;
+use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx::core::replica::Replica;
 use bx::core::storage::{AutoCompactingEventLog, CompactionPolicy};
 use bx::core::wiki_bx::WikiBx;
+use bx::core::Runtime;
 use bx::theory::Bx;
 use bx_testkit::ops::{apply_op, arb_ops, scripted_repository, unique_temp_dir, TITLES};
 use proptest::prelude::*;
+
+/// A default-tuned writer on a one-worker runtime whose only handle is
+/// the writer's own.
+fn spawn_writer(backend: AutoCompactingEventLog) -> BackgroundWriter {
+    BackgroundWriter::on_runtime(
+        backend,
+        PipelineConfig::default(),
+        &Runtime::named("bx-durability", 1),
+        "writer",
+    )
+}
 
 /// Search-result parity on a spread of queries (empty, single-term,
 /// conjunctive, absent).
@@ -52,7 +64,7 @@ proptest! {
             &dir,
             CompactionPolicy { checkpoint_every },
         ).unwrap();
-        let writer = Arc::new(BackgroundWriter::spawn(backend));
+        let writer = Arc::new(spawn_writer(backend));
         // Backfill the pre-subscription history (founding + cast), then
         // switch to push delivery.
         writer.enqueue(&repo.drain_events());
@@ -106,7 +118,7 @@ proptest! {
         let repo = scripted_repository();
         let policy = CompactionPolicy { checkpoint_every };
 
-        let writer = Arc::new(BackgroundWriter::spawn(
+        let writer = Arc::new(spawn_writer(
             AutoCompactingEventLog::open(&dir, policy).unwrap(),
         ));
         writer.enqueue(&repo.drain_events());
@@ -124,7 +136,7 @@ proptest! {
         // Second writer process over the same directory. The old writer
         // is still subscribed but shut down; its accepts are counted as
         // dropped and must not disturb the successor.
-        let writer2 = Arc::new(BackgroundWriter::spawn(
+        let writer2 = Arc::new(spawn_writer(
             AutoCompactingEventLog::open(&dir, policy).unwrap(),
         ));
         repo.drain_events(); // journal caught everything; second writer starts in sync

@@ -177,8 +177,8 @@ fn mixed_tenants_on_one_small_pool_survive_faults_and_converge() {
             .latest(component)
             .unwrap_or_else(|| panic!("`{component}` never reported"));
         match (component, &report.report) {
-            ("writer", HealthReport::Pipeline { durable, error, .. }) => {
-                assert_eq!(*durable, event_count);
+            ("writer", HealthReport::Pipeline { stats, error, .. }) => {
+                assert_eq!(stats.durable, event_count);
                 assert!(error.is_none());
             }
             ("writer:crash", HealthReport::Pipeline { error, .. }) => {
