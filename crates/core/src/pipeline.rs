@@ -29,17 +29,16 @@
 //!   after one, subsequent events are discarded (counted in
 //!   [`PipelineStats::dropped`]) rather than blocking writers forever,
 //!   and every later `flush`/`shutdown` keeps returning the error.
-//! * **Group commit.** With [`PipelineConfig::group_commit_window`] set,
-//!   the writer holds an fsync window open: it drains *everything*
-//!   concurrent producers queue, appends it through the backend's staged
-//!   (`DurabilityMode::GroupCommit`) path, and issues **one**
-//!   `flush_durable` when the window closes — on the window timer, at
+//! * **Group commit.** The writer switches its backend to the staged
+//!   (`DurabilityMode::GroupCommit`) path and makes every event durable
+//!   through **one** `flush_durable` per window: it drains what
+//!   concurrent producers queue and closes the window on the
+//!   [`PipelineConfig::group_commit_window`] timer, at
 //!   [`PipelineConfig::max_group_events`], at shutdown, or early when a
 //!   `flush` caller is waiting. One fsync then acknowledges every
-//!   producer in the window ([`PipelineStats::fsyncs`] vs
-//!   [`PipelineStats::group_commits`] make the amortisation observable).
-//!   Without a window (the default), every `record` batch fsyncs on its
-//!   own, exactly as before.
+//!   producer in the window (`durable / fsyncs` in [`PipelineStats`] is
+//!   the realised amortisation). The default window is zero: each pass
+//!   stages what is queued, up to the group budget, and closes at once.
 //! * **Drop-shutdown.** Dropping the writer (or calling
 //!   [`BackgroundWriter::shutdown`]) drains the queue to the backend —
 //!   closing any open group-commit window with its fsync — and waits for
@@ -63,12 +62,10 @@ use crate::storage::{DurabilityMode, StorageBackend};
 /// Default bound on the writer's input channel, in events.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
 
-/// Default maximum events handed to one `StorageBackend::record` call.
-pub const DEFAULT_WRITE_BATCH: usize = 256;
-
 /// Default cap on how many events one group-commit window may cover
-/// before it is forced closed (bounds both ack latency and the clean
-/// suffix a crash inside the window can lose).
+/// before it is forced closed (bounds ack latency, the batch handed to
+/// one `record` call, and the clean suffix a crash inside the window can
+/// lose).
 pub const DEFAULT_MAX_GROUP_EVENTS: usize = 4096;
 
 /// Tuning knobs for a [`BackgroundWriter`].
@@ -77,36 +74,22 @@ pub struct PipelineConfig {
     /// Channel bound: how many events may sit between the writers and the
     /// backend before `accept` applies backpressure.
     pub channel_capacity: usize,
-    /// Largest batch handed to a single `record` call in per-batch mode
-    /// (amortises per-call fsync cost without starving flush waiters).
-    pub write_batch: usize,
-    /// When `Some(window)`, the writer runs in group-commit mode: the
-    /// backend is switched to `DurabilityMode::GroupCommit` and one
-    /// fsync per window replaces one per batch. `None` (the default)
-    /// keeps the one-call-durable per-batch behaviour.
-    pub group_commit_window: Option<Duration>,
-    /// Most events one group-commit window may cover before its fsync is
-    /// forced (≥ 1; ignored in per-batch mode).
+    /// How long a group-commit window stays open after its first staged
+    /// event, gathering concurrent producers under one fsync.
+    /// `Duration::ZERO` (the default) closes every window in the pass
+    /// that opened it: one fsync per staged batch.
+    pub group_commit_window: Duration,
+    /// Most events one window may cover before its fsync is forced, and
+    /// so the largest batch handed to one `record` call (≥ 1).
     pub max_group_events: usize,
-    /// When true (and a group-commit window is set), the window adapts to
-    /// load: [`PipelineConfig::group_commit_window`] becomes the *ceiling*
-    /// and the writer halves the window toward zero whenever a window
-    /// closes nearly empty (light load → per-event latency approaches a
-    /// bare fsync) and doubles it back toward the ceiling whenever a
-    /// window fills a quarter of [`PipelineConfig::max_group_events`]
-    /// (saturation → maximum fsync amortisation). The window currently in
-    /// force is observable as [`PipelineStats::window_micros`].
-    pub adaptive_window: bool,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            write_batch: DEFAULT_WRITE_BATCH,
-            group_commit_window: None,
+            group_commit_window: Duration::ZERO,
             max_group_events: DEFAULT_MAX_GROUP_EVENTS,
-            adaptive_window: false,
         }
     }
 }
@@ -115,20 +98,8 @@ impl PipelineConfig {
     /// The default configuration with a group-commit window of `window`.
     pub fn group_commit(window: Duration) -> PipelineConfig {
         PipelineConfig {
-            group_commit_window: Some(window),
+            group_commit_window: window,
             ..PipelineConfig::default()
-        }
-    }
-
-    /// Group commit with an adaptive window: `max_window` is the ceiling,
-    /// and the writer sizes the actual window to the observed load (see
-    /// [`PipelineConfig::adaptive_window`]). The first window opens at
-    /// the ceiling — the safe choice for throughput — and shrinks within
-    /// a few light windows.
-    pub fn adaptive_group_commit(max_window: Duration) -> PipelineConfig {
-        PipelineConfig {
-            adaptive_window: true,
-            ..PipelineConfig::group_commit(max_window)
         }
     }
 }
@@ -145,19 +116,11 @@ pub struct PipelineStats {
     pub dropped: u64,
     /// How many times an `accept` blocked on a full channel.
     pub backpressure_waits: u64,
-    /// Durability commit points the writer has issued: one per `record`
-    /// batch in per-batch mode, one per window in group-commit mode.
-    /// (Real `sync_all` calls on file-backed backends; commit points on
-    /// memory ones.)
+    /// Commit points: successful `StorageBackend::flush_durable` calls,
+    /// one per closed window. (Real fsyncs on file-backed backends;
+    /// no-ops on memory ones.) `durable / fsyncs` is the realised
+    /// amortisation factor.
     pub fsyncs: u64,
-    /// Group-commit windows closed. Always 0 in per-batch mode;
-    /// `durable / group_commits` is the realised amortisation factor.
-    pub group_commits: u64,
-    /// The group-commit window in force after the most recent window
-    /// close, in microseconds: the configured window in fixed mode, the
-    /// load-adapted value under [`PipelineConfig::adaptive_window`], and
-    /// 0 in per-batch mode (or before the first window has closed).
-    pub window_micros: u64,
 }
 
 /// Everything the producer side and the writer task share.
@@ -185,15 +148,12 @@ struct State {
     /// close at the next opportunity instead of running out its timer.
     flush_requested: bool,
     /// Events staged on the backend (recorded in `GroupCommit` mode) but
-    /// not yet covered by a `flush_durable`. Always 0 in per-batch mode.
+    /// not yet covered by a `flush_durable`.
     staged: usize,
     /// When the open group-commit window times out; `None` when no
     /// window is open. The close is driven by a timer-wheel one-shot
     /// re-notifying the writer task, not by a sleeping thread.
     window_deadline: Option<Instant>,
-    /// The group-commit window currently in force: the configured value
-    /// in fixed mode, the load-adapted value in adaptive mode.
-    current_window: Duration,
     /// First backend error, stringified; sticky once set.
     error: Option<String>,
     stats: PipelineStats,
@@ -253,19 +213,16 @@ impl BackgroundWriter {
     /// a thread, and every commit point (and failure) publishes a
     /// [`HealthReport::Pipeline`] under `component` on the runtime's
     /// health channel. The writer holds its own `Arc` of the runtime, so
-    /// the caller may drop theirs. A
-    /// [`PipelineConfig::group_commit_window`] switches the backend to
+    /// the caller may drop theirs. The backend is switched to
     /// `DurabilityMode::GroupCommit` before the task starts, so staging
-    /// and the window's single fsync line up automatically.
+    /// and each window's single fsync line up automatically.
     pub fn on_runtime<B: StorageBackend + Send + 'static>(
         mut backend: B,
         config: PipelineConfig,
         runtime: &Arc<Runtime>,
         component: &str,
     ) -> BackgroundWriter {
-        if config.group_commit_window.is_some() {
-            backend.set_durability(DurabilityMode::GroupCommit);
-        }
+        backend.set_durability(DurabilityMode::GroupCommit);
         // A backend that repaired a torn tail when it opened says so on
         // the health channel — the repair predates this writer, but this
         // is the first observer that can publish it.
@@ -287,7 +244,6 @@ impl BackgroundWriter {
                 flush_requested: false,
                 staged: 0,
                 window_deadline: None,
-                current_window: config.group_commit_window.unwrap_or(Duration::ZERO),
                 error: None,
                 stats: PipelineStats::default(),
             }),
@@ -296,12 +252,8 @@ impl BackgroundWriter {
             health: Arc::clone(runtime.health()),
             component: component.to_string(),
         });
-        let tuning = WriterTuning {
-            batch_max: config.write_batch.max(1),
-            window: config.group_commit_window,
-            group_max: config.max_group_events.max(1),
-            adaptive: config.adaptive_window,
-        };
+        let window = config.group_commit_window;
+        let group_max = config.max_group_events.max(1);
         let slot: TaskSlot = Arc::default();
         let drive_shared = Arc::clone(&shared);
         let drive_slot = Arc::clone(&slot);
@@ -310,7 +262,8 @@ impl BackgroundWriter {
             drive(
                 &drive_shared,
                 &mut backend,
-                tuning,
+                window,
+                group_max,
                 &drive_runtime,
                 &drive_slot,
             )
@@ -460,36 +413,6 @@ impl Drop for BackgroundWriter {
     }
 }
 
-/// The writer task's resolved knobs.
-#[derive(Clone, Copy)]
-struct WriterTuning {
-    batch_max: usize,
-    /// The configured window — the fixed value, or the adaptive ceiling.
-    window: Option<Duration>,
-    group_max: usize,
-    adaptive: bool,
-}
-
-/// One pass of the writer task. Never blocks waiting for work or for a
-/// window timer — producers (`accept`), flush/shutdown callers and
-/// window-close one-shots all re-notify the task instead — and does one
-/// bounded step per pass (one record batch, or one stage-and-maybe-
-/// close round), re-notifying itself while work remains so sibling
-/// tenants on a shared runtime are never starved.
-fn drive<B: StorageBackend>(
-    shared: &Arc<Shared>,
-    backend: &mut B,
-    tuning: WriterTuning,
-    runtime: &Weak<Runtime>,
-    slot: &TaskSlot,
-) {
-    if tuning.window.is_none() {
-        drive_batch(shared, backend, tuning.batch_max, slot);
-    } else {
-        drive_group(shared, backend, tuning, runtime, slot);
-    }
-}
-
 /// Mark the shutdown drain complete (nothing queued, nothing staged)
 /// and wake shutdown waiters. Caller holds the state lock.
 fn confirm_closed(shared: &Shared, state: &mut State) {
@@ -499,73 +422,33 @@ fn confirm_closed(shared: &Shared, state: &mut State) {
     }
 }
 
-/// Per-batch mode: pop one bounded batch, record it (the backend fsyncs
-/// inside `record`), account for it; re-notify while events remain.
-fn drive_batch<B: StorageBackend>(
-    shared: &Arc<Shared>,
-    backend: &mut B,
-    batch_max: usize,
-    slot: &TaskSlot,
-) {
-    let batch: Vec<RepoEvent> = {
-        let mut state = lock(shared);
-        if state.error.is_some() || state.queue.is_empty() {
-            confirm_closed(shared, &mut state);
-            return;
-        }
-        let n = state.queue.len().min(batch_max);
-        let batch = state.queue.drain(..n).collect();
-        shared.not_full.notify_all();
-        batch
-    };
-    match backend.record(&batch) {
-        Ok(()) => {
-            let mut state = lock(shared);
-            state.stats.durable += batch.len() as u64;
-            state.stats.fsyncs += 1;
-            state.flush_requested = false;
-            shared.progress.notify_all();
-            publish(shared, state);
-        }
-        Err(e) => {
-            fail(shared, batch.len(), e);
-            return;
-        }
-    }
-    let more = {
-        let state = lock(shared);
-        !state.queue.is_empty() || (state.shutdown && !state.closed)
-    };
-    if more {
-        poke(slot);
-    }
-}
-
-/// Group-commit mode: stage whatever is queued (up to the group
-/// budget), open a window (arming a timer-wheel one-shot for its
+/// One pass of the writer task: stage whatever is queued (up to the
+/// group budget), open a window (arming a timer-wheel one-shot for its
 /// deadline) and close it — with the one `flush_durable` that makes
 /// every staged batch durable at once — when the budget fills, the
-/// deadline passes, shutdown begins, or a flush caller is waiting on a
-/// drained queue.
-fn drive_group<B: StorageBackend>(
+/// deadline passes (at once for a zero window), shutdown begins, or a
+/// flush caller is waiting on a drained queue.
+///
+/// A pass never blocks waiting for work or for a window timer —
+/// producers (`accept`), flush/shutdown callers and window-close
+/// one-shots all re-notify the task instead — and it re-notifies itself
+/// while work remains, so sibling tenants on a shared runtime are never
+/// starved.
+fn drive<B: StorageBackend>(
     shared: &Arc<Shared>,
     backend: &mut B,
-    tuning: WriterTuning,
+    window: Duration,
+    group_max: usize,
     runtime: &Weak<Runtime>,
     slot: &TaskSlot,
 ) {
-    let max_window = tuning.window.expect("group mode has a window");
     let (batch, staged_before) = {
         let mut state = lock(shared);
-        if state.error.is_some() {
+        if state.error.is_some() || (state.queue.is_empty() && state.staged == 0) {
             confirm_closed(shared, &mut state);
             return;
         }
-        if state.queue.is_empty() && state.staged == 0 {
-            confirm_closed(shared, &mut state);
-            return;
-        }
-        let room = tuning.group_max - state.staged;
+        let room = group_max - state.staged;
         let n = state.queue.len().min(room);
         let batch: Vec<RepoEvent> = state.queue.drain(..n).collect();
         if n > 0 {
@@ -583,17 +466,16 @@ fn drive_group<B: StorageBackend>(
     }
     let mut state = lock(shared);
     state.staged += batch.len();
-    if state.staged > 0 && state.window_deadline.is_none() && !state.current_window.is_zero() {
+    if state.staged > 0 && state.window_deadline.is_none() && !window.is_zero() {
         // Open the window: deadline first, then the timer — the wheel
         // measures its own delay from *after* the deadline was fixed,
         // so the one-shot can never fire before the deadline check
         // passes and strand the window open.
-        let delay = state.current_window;
-        state.window_deadline = Some(Instant::now() + delay);
+        state.window_deadline = Some(Instant::now() + window);
         drop(state);
         let timer_slot = Arc::clone(slot);
         if let Some(runtime) = runtime.upgrade() {
-            runtime.schedule_once(delay, move || poke(&timer_slot));
+            runtime.schedule_once(window, move || poke(&timer_slot));
         }
         state = lock(shared);
     }
@@ -601,21 +483,13 @@ fn drive_group<B: StorageBackend>(
         .window_deadline
         .is_some_and(|deadline| Instant::now() >= deadline);
     let close = state.staged > 0
-        && (state.staged >= tuning.group_max
+        && (state.staged >= group_max
             || state.shutdown
             || (state.flush_requested && state.queue.is_empty())
             || deadline_passed
-            || state.current_window.is_zero());
+            || window.is_zero());
     if close {
         let staged = state.staged;
-        // Decide the next window before the commit lock so flush
-        // waiters see stats (including `window_micros`) fully settled
-        // when they wake.
-        let next_window = if tuning.adaptive {
-            adapt_window(state.current_window, max_window, staged, tuning.group_max)
-        } else {
-            state.current_window
-        };
         drop(state);
         // The window's single fsync point, covering every staged batch.
         match backend.flush_durable() {
@@ -623,11 +497,8 @@ fn drive_group<B: StorageBackend>(
                 let mut state = lock(shared);
                 state.stats.durable += staged as u64;
                 state.stats.fsyncs += 1;
-                state.stats.group_commits += 1;
-                state.stats.window_micros = next_window.as_micros() as u64;
                 state.staged = 0;
                 state.window_deadline = None;
-                state.current_window = next_window;
                 state.flush_requested = false;
                 shared.progress.notify_all();
                 publish(shared, state);
@@ -647,36 +518,6 @@ fn drive_group<B: StorageBackend>(
     if more {
         poke(slot);
     }
-}
-
-/// Size the next group-commit window from how the one that just closed
-/// went. `staged` near the group budget means producers are saturating
-/// the writer: double the window (more amortisation per fsync), up to the
-/// configured ceiling. A window that closed nearly empty means load is
-/// light: halve it (down to zero — drain-and-fsync immediately) so a lone
-/// producer's ack latency is one fsync, not one timer. The growth floor
-/// is a small quantum of the ceiling so recovery from zero is geometric,
-/// not stuck.
-fn adapt_window(
-    current: Duration,
-    max_window: Duration,
-    staged: usize,
-    group_max: usize,
-) -> Duration {
-    let quantum = (max_window / 16)
-        .max(Duration::from_micros(50))
-        .min(max_window);
-    if staged.saturating_mul(4) >= group_max {
-        return current.saturating_mul(2).clamp(quantum, max_window);
-    }
-    if staged <= 1 {
-        return if current <= quantum {
-            Duration::ZERO
-        } else {
-            current / 2
-        };
-    }
-    current
 }
 
 /// The writer failed with `in_flight` events handed to the backend but
@@ -708,32 +549,9 @@ mod tests {
     use crate::template::{ExampleEntry, ExampleType};
 
     /// A backend whose state outlives the writer, so tests can
-    /// inspect what was durably recorded. Its `flush_durable` parks
-    /// while the test holds the fsync gate, so a test can keep the
-    /// writer inside one window's fsync while it lines up the next
-    /// windows' input.
+    /// inspect what was durably recorded.
     #[derive(Clone, Default)]
-    struct SharedMemory(Arc<Mutex<MemoryBackend>>, Arc<FsyncGate>);
-
-    /// `(held, parked)`: fsyncs wait while the gate is held, and
-    /// `parked` says one is waiting.
-    type FsyncGate = (Mutex<(bool, bool)>, Condvar);
-
-    impl SharedMemory {
-        fn hold_fsyncs(&self, held: bool) {
-            let (lock, changed) = &*self.1;
-            lock.lock().unwrap().0 = held;
-            changed.notify_all();
-        }
-
-        fn wait_parked(&self) {
-            let (lock, changed) = &*self.1;
-            let (state, _) = changed
-                .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(10), |g| !g.1)
-                .unwrap();
-            assert!(state.1, "the writer parks in its fsync");
-        }
-    }
+    struct SharedMemory(Arc<Mutex<MemoryBackend>>);
 
     impl StorageBackend for SharedMemory {
         fn kind(&self) -> &'static str {
@@ -750,17 +568,6 @@ mod tests {
         }
         fn restore(&self) -> Result<crate::repo::RepositorySnapshot, RepoError> {
             self.0.lock().unwrap().restore()
-        }
-        fn flush_durable(&mut self) -> Result<(), RepoError> {
-            let (lock, changed) = &*self.1;
-            let mut state = lock.lock().unwrap();
-            state.1 = true;
-            changed.notify_all();
-            while state.0 {
-                state = changed.wait(state).unwrap();
-            }
-            state.1 = false;
-            Ok(())
         }
     }
 
@@ -841,9 +648,8 @@ mod tests {
         assert_eq!(stats.enqueued, 4);
         assert_eq!(stats.durable, 4);
         assert_eq!(stats.dropped, 0);
-        // Per-batch mode: one commit point per record batch, no windows.
+        // A zero window: one commit point per staged batch.
         assert!(stats.fsyncs >= 1);
-        assert_eq!(stats.group_commits, 0);
         assert_eq!(writer.lag(), 0);
         writer.shutdown().unwrap();
     }
@@ -859,7 +665,7 @@ mod tests {
                 storage.clone(),
                 PipelineConfig {
                     channel_capacity: 2, // force backpressure on the way in
-                    write_batch: 1,
+                    max_group_events: 1,
                     ..PipelineConfig::default()
                 },
             );
@@ -879,7 +685,7 @@ mod tests {
             BrokenBackend,
             PipelineConfig {
                 channel_capacity: 2,
-                write_batch: 8,
+                max_group_events: 8,
                 ..PipelineConfig::default()
             },
             &runtime,
@@ -961,8 +767,7 @@ mod tests {
         writer.flush().unwrap();
         let stats = writer.stats();
         assert_eq!(stats.durable, stats.enqueued);
-        assert!(stats.group_commits >= 1);
-        assert_eq!(stats.fsyncs, stats.group_commits);
+        assert!(stats.fsyncs >= 1);
         assert!(
             stats.fsyncs < stats.durable,
             "windows amortise: {} fsyncs for {} events",
@@ -973,106 +778,6 @@ mod tests {
             storage.0.lock().unwrap().restore().unwrap(),
             repo.snapshot()
         );
-        writer.shutdown().unwrap();
-    }
-
-    #[test]
-    fn adaptive_window_shrinks_to_zero_under_light_load() {
-        let storage = SharedMemory::default();
-        let writer = Arc::new(writer_on(
-            storage.clone(),
-            PipelineConfig::adaptive_group_commit(Duration::from_millis(4)),
-        ));
-        let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        writer.enqueue(&repo.drain_events());
-        repo.subscribe(writer.clone());
-        repo.register(Principal::member("alice")).unwrap();
-        let id = repo.contribute("alice", entry("COMPOSERS")).unwrap();
-        // One event per flush: every window closes with staged ≤ 1, so
-        // from the 4ms ceiling the window halves to the quantum and then
-        // to zero within a handful of rounds.
-        for i in 0..10 {
-            repo.comment("alice", &id, "2014-03-28", &format!("solo{i}"))
-                .unwrap();
-            writer.flush().unwrap();
-        }
-        let stats = writer.stats();
-        assert_eq!(stats.window_micros, 0, "light load shrinks to zero");
-        assert_eq!(stats.durable, stats.enqueued);
-        assert_eq!(
-            storage.0.lock().unwrap().restore().unwrap(),
-            repo.snapshot()
-        );
-        writer.shutdown().unwrap();
-    }
-
-    #[test]
-    fn adaptive_window_grows_back_under_saturation() {
-        let storage = SharedMemory::default();
-        let writer = Arc::new(writer_on(
-            storage.clone(),
-            PipelineConfig {
-                // A tiny group budget so a burst saturates many windows
-                // in a row (growth needs staged*4 >= group_max).
-                max_group_events: 8,
-                ..PipelineConfig::adaptive_group_commit(Duration::from_millis(4))
-            },
-        ));
-        let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        writer.enqueue(&repo.drain_events());
-        repo.subscribe(writer.clone());
-        repo.register(Principal::member("alice")).unwrap();
-        let id = repo.contribute("alice", entry("COMPOSERS")).unwrap();
-        // Shrink first: sparse singles take the window to zero.
-        for i in 0..10 {
-            repo.comment("alice", &id, "2014-03-28", &format!("s{i}"))
-                .unwrap();
-            writer.flush().unwrap();
-        }
-        assert_eq!(writer.stats().window_micros, 0);
-        // Hold the writer inside the fsync of a one-event window, queue a
-        // 64-event burst behind it, then let it go: every following
-        // window stages the full 8-event budget, so each one doubles the
-        // window from the quantum.
-        storage.hold_fsyncs(true);
-        repo.comment("alice", &id, "2014-03-28", "held").unwrap();
-        storage.wait_parked();
-        for i in 0..64 {
-            repo.comment("alice", &id, "2014-03-28", &format!("burst{i}"))
-                .unwrap();
-        }
-        storage.hold_fsyncs(false);
-        writer.flush().unwrap();
-        let stats = writer.stats();
-        assert!(
-            stats.window_micros > 0,
-            "saturation must grow the window back (got {} µs)",
-            stats.window_micros
-        );
-        assert!(
-            stats.window_micros <= 4_000,
-            "the configured ceiling caps growth (got {} µs)",
-            stats.window_micros
-        );
-        assert_eq!(stats.durable, stats.enqueued);
-        assert_eq!(
-            storage.0.lock().unwrap().restore().unwrap(),
-            repo.snapshot()
-        );
-        writer.shutdown().unwrap();
-    }
-
-    #[test]
-    fn fixed_window_reports_its_configured_size() {
-        let storage = SharedMemory::default();
-        let writer = Arc::new(writer_on(
-            storage.clone(),
-            PipelineConfig::group_commit(Duration::from_millis(2)),
-        ));
-        let repo = Repository::found("bx", vec![Principal::curator("c")]);
-        writer.enqueue(&repo.drain_events());
-        writer.flush().unwrap();
-        assert_eq!(writer.stats().window_micros, 2_000);
         writer.shutdown().unwrap();
     }
 
@@ -1131,9 +836,9 @@ mod tests {
         let stats = writer.stats();
         assert_eq!(stats.durable, 10);
         assert!(
-            stats.group_commits >= 3,
+            stats.fsyncs >= 3,
             "a 4-event budget splits 10 events over ≥ 3 windows, got {}",
-            stats.group_commits
+            stats.fsyncs
         );
         assert_eq!(
             storage.0.lock().unwrap().restore().unwrap(),
@@ -1207,7 +912,7 @@ mod tests {
         for pair in reports.windows(2) {
             assert!(pair[0].0 < pair[1].0, "publish order");
             assert!(pair[0].1.durable <= pair[1].1.durable);
-            assert!(pair[0].1.group_commits <= pair[1].1.group_commits);
+            assert!(pair[0].1.fsyncs <= pair[1].1.fsyncs);
         }
         // The last report agrees with the counters.
         let (_, stats, queue_len, _) = reports.last().unwrap();
@@ -1234,7 +939,7 @@ mod tests {
         }
         let stats = writer.stats();
         assert_eq!(stats.durable, 2, "the window timer closed the window");
-        assert!(stats.group_commits >= 1);
+        assert!(stats.fsyncs >= 1);
         assert_eq!(
             storage.0.lock().unwrap().restore().unwrap(),
             repo.snapshot()

@@ -71,11 +71,9 @@ use std::time::{Duration, Instant};
 
 use bx_theory::Bx;
 
-use crate::cite;
 use crate::error::RepoError;
 use crate::event::{apply_event, replay, EventSink, RepoEvent};
 use crate::index::SearchIndex;
-use crate::manuscript::{export_manuscript, ManuscriptOptions};
 use crate::principal::Principal;
 use crate::repo::{EntryId, EntryRecord, RepositorySnapshot};
 use crate::runtime::{HealthReport, Runtime, RuntimeHealth, TimerTask};
@@ -84,7 +82,6 @@ use crate::supervise::{
     RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus, SourceSupervisor,
 };
 use crate::template::slug_of;
-use crate::version::Version;
 use crate::wiki::WikiSite;
 use crate::wiki_bx::WikiBx;
 
@@ -476,23 +473,6 @@ impl Replica {
     /// The incrementally maintained wiki site (entry pages).
     pub fn site(&self) -> &WikiSite {
         &self.site
-    }
-
-    /// The recommended citation for one replicated entry (latest or
-    /// pinned version), served without touching the primary.
-    pub fn cite(&self, id: &EntryId, version: Option<Version>) -> Result<String, RepoError> {
-        cite::cite_in(&self.snapshot, id, version)
-    }
-
-    /// Citations for every replicated entry's latest version, in id
-    /// order.
-    pub fn citations(&self) -> Vec<String> {
-        cite::citations(&self.snapshot)
-    }
-
-    /// The archival manuscript export (§5.2) over the replicated state.
-    pub fn export_manuscript(&self, options: ManuscriptOptions) -> String {
-        export_manuscript(&self.snapshot, options)
     }
 
     /// The directory being tailed.
@@ -1097,25 +1077,6 @@ impl Federation {
         self.index.query_filtered(terms, |id| source.owns(id))
     }
 
-    /// The recommended citation for one federated entry (namespaced id),
-    /// latest or pinned version.
-    pub fn cite(&self, id: &EntryId, version: Option<Version>) -> Result<String, RepoError> {
-        cite::cite_in(&self.snapshot, id, version)
-    }
-
-    /// Citations for every federated entry's latest version, in
-    /// namespaced-id order.
-    pub fn citations(&self) -> Vec<String> {
-        cite::citations(&self.snapshot)
-    }
-
-    /// The archival manuscript export over the merged state (BibTeX keys
-    /// derive from the namespaced ids, so colliding titles from different
-    /// sources stay distinct).
-    pub fn export_manuscript(&self, options: ManuscriptOptions) -> String {
-        export_manuscript(&self.snapshot, options)
-    }
-
     /// Per-source replication lag, in bytes of unapplied log.
     pub fn lag(&self) -> Vec<(SourceId, u64)> {
         self.sources
@@ -1375,16 +1336,6 @@ impl ReplicaDaemon {
         self.with_federation(|f| f.query(terms))
     }
 
-    /// Citations for every federated entry's latest version.
-    pub fn citations(&self) -> Vec<String> {
-        self.with_federation(|f| f.citations())
-    }
-
-    /// The archival manuscript export over the merged state.
-    pub fn export_manuscript(&self, options: ManuscriptOptions) -> String {
-        self.with_federation(|f| f.export_manuscript(options))
-    }
-
     /// Progress accounting so far.
     pub fn stats(&self) -> DaemonStats {
         daemon_lock(&self.shared.stats).clone()
@@ -1472,10 +1423,13 @@ impl Drop for ReplicaDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cite;
+    use crate::manuscript::{export_manuscript, ManuscriptOptions};
     use crate::principal::Principal;
     use crate::repo::Repository;
     use crate::storage::{AutoCompactingEventLog, CompactionPolicy, StorageBackend};
     use crate::template::{ExampleEntry, ExampleType};
+    use crate::version::Version;
     use bx_theory::Bx;
 
     use crate::test_support::unique_dir;
@@ -1634,12 +1588,15 @@ mod tests {
         backend.record(&r.drain_events()).unwrap();
 
         let replica = Replica::open(&dir).unwrap();
-        let cites = replica.citations();
+        let cites = cite::citations(replica.snapshot());
         assert_eq!(cites.len(), 1);
         assert!(cites[0].contains("COMPOSERS, version 0.1"));
-        assert_eq!(replica.cite(&id, None).unwrap(), cites[0]);
-        assert!(replica.cite(&id, Some(Version::new(9, 9))).is_err());
-        let manuscript = replica.export_manuscript(ManuscriptOptions::default());
+        assert_eq!(
+            cite::cite_in(replica.snapshot(), &id, None).unwrap(),
+            cites[0]
+        );
+        assert!(cite::cite_in(replica.snapshot(), &id, Some(Version::new(9, 9))).is_err());
+        let manuscript = export_manuscript(replica.snapshot(), ManuscriptOptions::default());
         assert!(manuscript.contains("++ COMPOSERS"));
         assert!(manuscript.contains("@misc{bx-composers-0-1,"));
         std::fs::remove_dir_all(&dir).ok();
@@ -1849,8 +1806,8 @@ mod tests {
         assert!(federation.site().current("examples:a/composers").is_some());
         assert!(WikiBx::new().consistent(federation.snapshot(), federation.site()));
         // Citations and manuscript come straight off the merged state.
-        assert_eq!(federation.citations().len(), 3);
-        let manuscript = federation.export_manuscript(ManuscriptOptions::default());
+        assert_eq!(cite::citations(federation.snapshot()).len(), 3);
+        let manuscript = export_manuscript(federation.snapshot(), ManuscriptOptions::default());
         assert!(manuscript.contains("@misc{bx-a-composers-0-1,"));
         assert!(manuscript.contains("@misc{bx-b-composers-0-1,"));
         std::fs::remove_dir_all(&dir_a).ok();
@@ -2064,7 +2021,10 @@ mod tests {
         daemon.force_catch_up().unwrap();
         assert!(daemon.stats().events_applied >= 1);
         assert_eq!(daemon.query(&["composers"]).len(), 1);
-        assert_eq!(daemon.citations().len(), 1);
+        assert_eq!(
+            daemon.with_federation(|f| cite::citations(f.snapshot()).len()),
+            1
+        );
         assert!(daemon.last_error().is_none());
 
         // A vanished source surfaces a sticky typed error — per source

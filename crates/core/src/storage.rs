@@ -925,9 +925,12 @@ impl GenerationLog for crate::binlog::BinaryLogBackend {
 
 /// When an [`AutoCompactingEventLog`] checkpoints: after at least
 /// `checkpoint_every` events have been recorded since the last
-/// checkpoint. Restores therefore replay at most `checkpoint_every - 1 +
-/// write_batch` events, and the directory holds O(1) generations no
-/// matter how long the repository lives.
+/// checkpoint. Restores therefore replay at most `checkpoint_every - 1`
+/// events plus one `record` batch (behind a
+/// [`crate::pipeline::BackgroundWriter`], at most
+/// [`crate::pipeline::PipelineConfig::max_group_events`]), and the
+/// directory holds O(1) generations no matter how long the repository
+/// lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
     /// Checkpoint threshold, in events since the last checkpoint (≥ 1;

@@ -12,7 +12,8 @@ use bx::core::pipeline::{BackgroundWriter, PipelineConfig};
 use bx::core::replica::{DaemonConfig, Federation, ReplicaDaemon, SourceId};
 use bx::core::storage::{AutoCompactingEventLog, CompactionPolicy};
 use bx::core::{
-    EntryId, ExampleEntry, ExampleType, ManuscriptOptions, Principal, Repository, Runtime,
+    cite, export_manuscript, EntryId, ExampleEntry, ExampleType, ManuscriptOptions, Principal,
+    Repository, Runtime,
 };
 use std::sync::Arc;
 
@@ -105,7 +106,7 @@ fn main() {
 
     // Citations follow the namespaced page URLs.
     println!("citation listing:");
-    for citation in daemon.citations() {
+    for citation in daemon.with_federation(|f| cite::citations(f.snapshot())) {
         println!("  {citation}");
     }
 
@@ -147,7 +148,8 @@ fn main() {
 
     // The archival manuscript over the merged state: distinct BibTeX
     // keys even for the colliding titles.
-    let manuscript = daemon.export_manuscript(ManuscriptOptions::default());
+    let manuscript =
+        daemon.with_federation(|f| export_manuscript(f.snapshot(), ManuscriptOptions::default()));
     let keys: Vec<&str> = manuscript
         .lines()
         .filter(|l| l.starts_with("@misc{"))

@@ -74,10 +74,10 @@ fn main() {
     writer.flush().expect("background writer healthy");
     let stats = writer.stats();
     println!(
-        "primary: {} entries, {} events durable over {} group commit(s)",
+        "primary: {} entries, {} events durable over {} fsync(s)",
         primary.len(),
         stats.durable,
-        stats.group_commits,
+        stats.fsyncs,
     );
 
     // == the replica ==

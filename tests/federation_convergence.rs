@@ -13,7 +13,7 @@ use std::time::Duration;
 use bx::core::index::SearchIndex;
 use bx::core::replica::{federate_snapshots, DaemonConfig, Federation, ReplicaDaemon, SourceId};
 use bx::core::wiki_bx::WikiBx;
-use bx::core::{ManuscriptOptions, Runtime};
+use bx::core::{cite, export_manuscript, ManuscriptOptions, Runtime};
 use bx::theory::Bx;
 use bx_testkit::federation::{
     arb_federation_script, drive_federation, FederationScript, SourcePlan,
@@ -233,11 +233,11 @@ fn daemon_serves_and_stops_clean() {
     // entries, namespaced apart), citations, manuscript export.
     let hits = daemon.query(&["composers"]);
     assert_eq!(hits.len(), 2);
-    assert!(daemon
-        .citations()
+    assert!(daemon.with_federation(|f| cite::citations(f.snapshot())
         .iter()
-        .any(|c| c.contains("examples:b/composers")));
-    let manuscript = daemon.export_manuscript(ManuscriptOptions::default());
+        .any(|c| c.contains("examples:b/composers"))));
+    let manuscript =
+        daemon.with_federation(|f| export_manuscript(f.snapshot(), ManuscriptOptions::default()));
     assert!(manuscript.contains("@misc{bx-a-composers-0-1,"));
     assert!(manuscript.contains("@misc{bx-b-composers-0-1,"));
     assert!(daemon.last_error().is_none());

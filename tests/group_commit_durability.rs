@@ -2,16 +2,24 @@
 //! concurrent producers converge through one fsync per window, the
 //! window composes with auto-compaction's generation rolls, the health
 //! reports on the runtime channel surface the amortisation, and the
-//! per-batch default stays exactly as durable as it always was.
+//! default zero-length window acknowledges a flush only after the
+//! backend's `flush_durable` has run.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bx::core::pipeline::{BackgroundWriter, PipelineConfig, PipelineStats};
+use bx::core::repo::RepositorySnapshot;
 use bx::core::storage::{
-    AutoCompactingEventLog, CompactionPolicy, EventLogBackend, StorageBackend,
+    AutoCompactingEventLog, CompactionPolicy, DurabilityMode, EventLogBackend, JsonFileBackend,
+    StorageBackend,
 };
-use bx::core::{EntryId, ExampleEntry, ExampleType, HealthReport, Principal, Repository, Runtime};
+use bx::core::{
+    EntryId, ExampleEntry, ExampleType, HealthReport, Principal, RepoError, RepoEvent, Repository,
+    Runtime,
+};
 use bx_testkit::ops::unique_temp_dir;
 
 /// A writer on a one-worker runtime whose only handle is the writer's
@@ -86,8 +94,7 @@ fn concurrent_producers_converge_through_group_commit() {
     let stats = writer.stats();
     assert_eq!(stats.durable, stats.enqueued);
     assert_eq!(stats.dropped, 0);
-    assert!(stats.group_commits >= 1);
-    assert_eq!(stats.fsyncs, stats.group_commits);
+    assert!(stats.fsyncs >= 1);
     assert!(
         stats.fsyncs < stats.durable,
         "{} events must not cost {} fsyncs",
@@ -172,23 +179,61 @@ fn periodic_health_reports_show_the_amortisation() {
     assert!(!reports.is_empty());
     let (last, error) = reports.last().unwrap();
     assert_eq!(*error, None);
-    assert_eq!(last.group_commits, last.fsyncs);
     assert_eq!(*last, writer.stats());
     for pair in reports.windows(2) {
         assert!(
-            pair[0].0.group_commits < pair[1].0.group_commits,
+            pair[0].0.fsyncs < pair[1].0.fsyncs,
             "each report marks one more window"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn per_batch_default_remains_one_call_durable() {
-    let dir = unique_temp_dir("per-batch-default");
+/// Counts `flush_durable` calls on the wrapped backend; the count
+/// outlives the writer that owns the backend.
+struct CountingFsyncs<B> {
+    inner: B,
+    calls: Arc<AtomicU64>,
+}
+
+impl<B: StorageBackend> StorageBackend for CountingFsyncs<B> {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
+        self.inner.record(events)
+    }
+    fn checkpoint(&mut self, snapshot: &RepositorySnapshot) -> Result<(), RepoError> {
+        self.inner.checkpoint(snapshot)
+    }
+    fn restore(&self) -> Result<RepositorySnapshot, RepoError> {
+        self.inner.restore()
+    }
+    fn flush_durable(&mut self) -> Result<(), RepoError> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.inner.flush_durable()
+    }
+    fn set_durability(&mut self, mode: DurabilityMode) {
+        self.inner.set_durability(mode)
+    }
+}
+
+/// Drive a default-config writer over `open(dir)` and check that every
+/// commit point it reports is a `flush_durable` call the backend saw,
+/// and that a fresh `open(dir)` restores the primary.
+fn default_writer_fsyncs_through_flush_durable<B, F>(tag: &str, open: F)
+where
+    B: StorageBackend + Send + 'static,
+    F: Fn(&Path) -> B,
+{
+    let dir = unique_temp_dir(tag);
     let (repo, ids) = seeded(1);
+    let calls = Arc::new(AtomicU64::new(0));
     let writer = Arc::new(writer_on(
-        EventLogBackend::open(&dir).unwrap(),
+        CountingFsyncs {
+            inner: open(&dir),
+            calls: Arc::clone(&calls),
+        },
         PipelineConfig::default(),
     ));
     repo.subscribe_with_backfill(writer.clone());
@@ -198,11 +243,21 @@ fn per_batch_default_remains_one_call_durable() {
     }
     writer.flush().unwrap();
     let stats = writer.stats();
+    let calls = calls.load(Ordering::SeqCst);
     assert_eq!(stats.durable, stats.enqueued);
-    assert_eq!(stats.group_commits, 0, "no windows in per-batch mode");
-    assert!(stats.fsyncs >= 1);
+    assert!(calls >= 1, "{tag}: an acknowledged flush fsynced");
+    assert_eq!(calls, stats.fsyncs, "{tag}: every commit point fsynced");
     writer.shutdown().unwrap();
-    let recovered = EventLogBackend::open(&dir).unwrap();
-    assert_eq!(recovered.restore().unwrap(), repo.snapshot());
+    assert_eq!(open(&dir).restore().unwrap(), repo.snapshot());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn default_writer_fsyncs_every_commit_point() {
+    default_writer_fsyncs_through_flush_durable("default-json-file", |dir| {
+        JsonFileBackend::new(dir.join("repo.json"))
+    });
+    default_writer_fsyncs_through_flush_durable("default-event-log", |dir| {
+        EventLogBackend::open(dir).unwrap()
+    });
 }
