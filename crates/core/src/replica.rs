@@ -1,10 +1,10 @@
 //! Read replicas and federation: replication by shipping the event log.
 //!
-//! ## Single-primary replicas
+//! ## Federation
 //!
-//! A [`Replica`] tails the directory an [`EventLogBackend`] writes —
-//! locally, over a network file system, or rsynced from the primary —
-//! and incrementally maintains three read-side materializations:
+//! A [`Federation`] is one read node tailing **N independent primaries**
+//! (each its own event-log directory and [`LogTail`]) and folding them
+//! into a single merged snapshot, search index and wiki site:
 //!
 //! * a [`RepositorySnapshot`] (the folded state, via
 //!   [`crate::event::apply_event`]),
@@ -12,28 +12,31 @@
 //! * the entry pages of a [`WikiSite`] (via [`WikiBx::sync_changed`]
 //!   over the tailed events' dirty set),
 //!
-//! so a fleet of replicas can serve search, wiki, citation and manuscript
-//! reads while the primary alone takes writes. [`Replica::catch_up`] is
-//! cheap to call in a loop: within a log generation it applies only the
-//! events appended since the last call; when the primary has checkpointed
-//! (the manifest names a new generation), it *re-bases* — adopts the
+//! so a fleet of read nodes can serve search, wiki, citation and
+//! manuscript reads while the primaries alone take writes. Every record
+//! and account is namespaced by its [`SourceId`] (`"<source>/<id>"`), so
+//! colliding entry ids from different primaries coexist instead of
+//! clobbering each other. [`Federation::catch_up`] is cheap to call in a
+//! loop: within a log generation it applies only the events appended
+//! since the last call; when a primary has checkpointed (its manifest
+//! names a new generation), it *re-bases* that source — adopts the
 //! checkpoint state and patches the index and site for exactly the
-//! records that differ. The tailing state machine itself is [`LogTail`],
-//! shared with the federation below.
+//! records that differ. Opening is the same re-base from an empty merged
+//! state, followed by one catch-up pass. The merged state it converges
+//! to is specified by the pure [`federate_snapshots`] fold, which the
+//! convergence property tests (`tests/federation_convergence.rs`) pin it
+//! against under interleaved writes, compaction, killed writers and torn
+//! appends.
 //!
-//! ## Multi-primary federation
+//! ## Single-primary replicas
 //!
-//! A [`Federation`] is one read node tailing **N independent primaries**
-//! (each its own event-log directory and [`LogTail`]) and folding them
-//! into a single merged snapshot, search index and wiki site. Every
-//! record and account is namespaced by its [`SourceId`]
-//! (`"<source>/<id>"`), so colliding entry ids from different primaries
-//! coexist instead of clobbering each other. Per source, the federation
-//! re-bases across checkpoint generations exactly as a single replica
-//! does. The merged state it converges to is specified by the pure
-//! [`federate_snapshots`] fold, which the convergence property tests
-//! (`tests/federation_convergence.rs`) pin it against under interleaved
-//! writes, compaction, killed writers and torn appends.
+//! A [`Replica`] is a facade over a one-source federation. Its source
+//! uses the identity namespace (the empty source id, which
+//! [`Federation::open`] rejects), so keys pass through unchanged and the
+//! replica's snapshot equals the primary's, name included. It tails the
+//! directory an [`EventLogBackend`] writes — locally, over a network file
+//! system, or rsynced from the primary — with no retry backoff: every
+//! [`Replica::catch_up`] polls, and a failing poll returns its error.
 //!
 //! [`ReplicaDaemon`] wraps a federation in a background polling thread
 //! ([`DaemonConfig`] sets the cadence) with clean start/stop,
@@ -63,13 +66,12 @@
 //! directory that disappears after it has been tailed surfaces as a
 //! typed [`RepoError::SourceUnavailable`], never a panic.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
-
-use bx_theory::Bx;
 
 use crate::error::RepoError;
 use crate::event::{apply_event, replay, EventSink, RepoEvent};
@@ -85,12 +87,14 @@ use crate::template::slug_of;
 use crate::wiki::WikiSite;
 use crate::wiki_bx::WikiBx;
 
-/// What one [`Replica::catch_up`] call did.
+/// What one catch-up did for one source: a [`Replica::catch_up`] call, or
+/// one entry of [`FederationCatchUp::per_source`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CatchUp {
     /// Events applied from the tailed generation.
     pub events_applied: usize,
-    /// Whether the replica re-based onto a new checkpoint generation.
+    /// Whether the source re-based: a new checkpoint generation, a
+    /// recovered truncation, or a prefix salvage.
     pub rebased: bool,
 }
 
@@ -104,16 +108,13 @@ pub struct TailProgress {
     pub new_base: Option<RepositorySnapshot>,
     /// Intact events appended since the last poll, in log order.
     pub events: Vec<RepoEvent>,
-    /// Whether this poll crossed a checkpoint generation (or recovered
-    /// from a foreign truncation).
-    pub rebased: bool,
 }
 
 /// The tailing state machine over one event-log directory: byte-offset
 /// incremental reads within a generation, manifest-stamp change detection,
 /// re-base across checkpoint generations, torn-tail tolerance, and a typed
-/// error when a directory that was being tailed disappears. [`Replica`]
-/// runs one of these; [`Federation`] runs one per source.
+/// error when a directory that was being tailed disappears. A
+/// [`Federation`] runs one per source, so a [`Replica`] runs exactly one.
 #[derive(Debug)]
 pub struct LogTail {
     dir: PathBuf,
@@ -305,7 +306,6 @@ impl LogTail {
                 self.applied = 0;
                 self.offset = 0;
                 progress.new_base = Some(base);
-                progress.rebased = true;
             }
         }
         match self.read_generation_tail(self.offset)? {
@@ -325,35 +325,17 @@ impl LogTail {
                 self.offset = end;
                 progress.new_base = Some(replay(base, &all));
                 progress.events = Vec::new();
-                progress.rebased = true;
             }
         }
         Ok(progress)
     }
 }
 
-/// A read replica of one event-log directory; see the module docs.
+/// A read replica of one event-log directory: a [`Federation`] over one
+/// source in the identity namespace; see the module docs.
+#[derive(Debug)]
 pub struct Replica {
-    tail: LogTail,
-    bx: WikiBx,
-    snapshot: RepositorySnapshot,
-    index: SearchIndex,
-    site: WikiSite,
-    /// Sinks observing the replicated stream (e.g. a lint engine): each
-    /// gets [`EventSink::rebased`] when the replica adopts a new base and
-    /// [`EventSink::accept`] for every event applied on top.
-    observers: Vec<Arc<dyn EventSink>>,
-}
-
-impl std::fmt::Debug for Replica {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Replica")
-            .field("dir", &self.tail.dir)
-            .field("generation", &self.tail.generation)
-            .field("applied", &self.tail.applied)
-            .field("entries", &self.snapshot.records.len())
-            .finish()
-    }
+    federation: Federation,
 }
 
 impl Replica {
@@ -361,20 +343,11 @@ impl Replica {
     /// The directory may be empty or absent (a primary that has not
     /// written yet).
     pub fn open(dir: impl Into<PathBuf>) -> Result<Replica, RepoError> {
-        let (tail, base) = LogTail::open(dir)?;
-        let bx = WikiBx::new();
-        let index = SearchIndex::build(&base);
-        let site = bx.fwd(&base, &WikiSite::new());
-        let mut replica = Replica {
-            tail,
-            bx,
-            snapshot: base,
-            index,
-            site,
-            observers: Vec::new(),
-        };
-        replica.catch_up()?;
-        Ok(replica)
+        let mut federation = Federation::open_validated("", vec![(SourceId::sole(), dir.into())])?;
+        // No backoff: every catch-up polls, so a vanished directory
+        // keeps surfacing as an error instead of a silent skip.
+        federation.set_retry_policy(RetryPolicy::immediate());
+        Ok(Replica { federation })
     }
 
     /// Exactly [`Replica::open`]: cold opens are sequential and `_runtime`
@@ -384,105 +357,55 @@ impl Replica {
         Self::open(dir)
     }
 
-    /// Subscribe a sink to the replicated stream. The sink is backfilled
-    /// immediately with [`EventSink::rebased`] over the current snapshot
-    /// (so a derived view starts from the state already tailed), then
-    /// receives [`EventSink::accept`] for every event each later
-    /// [`Replica::catch_up`] applies, and [`EventSink::rebased`] again
-    /// whenever the replica adopts a new base (checkpoint crossed or
-    /// truncation recovered). Sinks run on the catch-up caller's thread.
+    /// Subscribe a sink to the replicated stream; see
+    /// [`Federation::subscribe`]. The replica's events reach the sink
+    /// exactly as the primary wrote them.
     pub fn subscribe(&mut self, sink: Arc<dyn EventSink>) {
-        sink.rebased(&self.snapshot);
-        self.observers.push(sink);
+        self.federation.subscribe(sink);
     }
 
     /// Pull the replica up to the log's current durable end. Within a
     /// generation this applies only the events appended since the last
     /// call; across a checkpoint it re-bases first. Safe to call at any
-    /// cadence.
+    /// cadence. A failing poll returns its error, and the replica keeps
+    /// serving its last good state.
     pub fn catch_up(&mut self) -> Result<CatchUp, RepoError> {
-        let progress = self.tail.poll()?;
-        if let Some(base) = progress.new_base {
-            self.rebase(base);
-            for observer in &self.observers {
-                observer.rebased(&self.snapshot);
-            }
+        let outcome = self.federation.catch_up();
+        if let Some((_, error)) = outcome.errors.into_iter().next() {
+            return Err(error);
         }
-        let mut dirty: BTreeSet<EntryId> = BTreeSet::new();
-        for event in &progress.events {
-            apply_event(&mut self.snapshot, event);
-            self.index.apply(event);
-            for observer in &self.observers {
-                observer.accept(event);
-            }
-            if event.changes_rendered_page() {
-                if let Some(id) = event.touched() {
-                    dirty.insert(id.clone());
-                }
-            }
-        }
-        if !dirty.is_empty() {
-            self.bx.sync_changed(&self.snapshot, &mut self.site, &dirty);
-        }
-        Ok(CatchUp {
-            events_applied: progress.events.len(),
-            rebased: progress.rebased,
-        })
-    }
-
-    /// Adopt `target` as the replica state, updating the index and site
-    /// for exactly the records that differ from the current snapshot.
-    fn rebase(&mut self, target: RepositorySnapshot) {
-        let mut dirty: BTreeSet<EntryId> = BTreeSet::new();
-        for (id, record) in &target.records {
-            if self.snapshot.records.get(id) != Some(record) {
-                self.index.upsert_entry(id, record.latest());
-                dirty.insert(id.clone());
-            }
-        }
-        // Records the target no longer has (impossible through the
-        // curation API, which never deletes, but a foreign log might).
-        for id in self.snapshot.records.keys() {
-            if !target.records.contains_key(id) {
-                self.index.remove_entry(id);
-                dirty.insert(id.clone());
-            }
-        }
-        self.snapshot = target;
-        if !dirty.is_empty() {
-            self.bx.sync_changed(&self.snapshot, &mut self.site, &dirty);
-        }
+        Ok(outcome.per_source[0])
     }
 
     /// The replicated state (equals the primary's snapshot after the
     /// primary flushed and this replica caught up).
     pub fn snapshot(&self) -> &RepositorySnapshot {
-        &self.snapshot
+        self.federation.snapshot()
     }
 
     /// The incrementally maintained search index.
     pub fn index(&self) -> &SearchIndex {
-        &self.index
+        self.federation.index()
     }
 
     /// Conjunctive keyword search served from the replica.
     pub fn query(&self, terms: &[&str]) -> Vec<(EntryId, u32)> {
-        self.index.query(terms)
+        self.federation.query(terms)
     }
 
     /// The incrementally maintained wiki site (entry pages).
     pub fn site(&self) -> &WikiSite {
-        &self.site
+        self.federation.site()
     }
 
     /// The directory being tailed.
     pub fn dir(&self) -> &Path {
-        self.tail.dir()
+        self.federation.sources[0].1.dir()
     }
 
     /// Tail position: (current generation file, events applied from it).
     pub fn position(&self) -> (&str, usize) {
-        self.tail.position()
+        self.federation.sources[0].1.position()
     }
 }
 
@@ -498,9 +421,21 @@ pub struct SourceId(String);
 impl SourceId {
     /// Build a source id from any label; the label is slugified
     /// (lowercase alphanumerics and dashes), so `"EU mirror"` becomes
-    /// `eu-mirror`. An empty slug is rejected at [`Federation::open`].
+    /// `eu-mirror`. An empty slug is the identity namespace of a
+    /// [`Replica`], which [`Federation::open`] rejects.
     pub fn new(label: &str) -> SourceId {
         SourceId(slug_of(label))
+    }
+
+    /// The identity namespace, the empty id: keys pass through unchanged
+    /// and every id belongs to it. Legal only as a [`Replica`]'s one
+    /// source, so [`Federation::open`] rejects it.
+    pub(crate) fn sole() -> SourceId {
+        SourceId(String::new())
+    }
+
+    fn is_sole(&self) -> bool {
+        self.0.is_empty()
     }
 
     /// The slug text.
@@ -510,23 +445,35 @@ impl SourceId {
 
     /// The namespaced form of one of this source's entry ids.
     pub fn entry_id(&self, id: &EntryId) -> EntryId {
+        if self.is_sole() {
+            return id.clone();
+        }
         EntryId(format!("{}/{}", self.0, id.as_str()))
     }
 
     /// The namespaced form of one of this source's account names.
     pub fn account(&self, name: &str) -> String {
+        if self.is_sole() {
+            return name.to_string();
+        }
         format!("{}/{name}", self.0)
     }
 
     /// Does a namespaced entry id belong to this source?
     pub fn owns(&self, id: &EntryId) -> bool {
-        id.as_str()
-            .strip_prefix(&self.0)
-            .is_some_and(|rest| rest.starts_with('/'))
+        self.is_sole()
+            || id
+                .as_str()
+                .strip_prefix(&self.0)
+                .is_some_and(|rest| rest.starts_with('/'))
     }
 
-    /// The namespaced-key prefix of this source (`"<source>/"`).
+    /// The namespaced-key prefix of this source (`"<source>/"`, or `""`
+    /// for the identity namespace).
     fn prefix(&self) -> String {
+        if self.is_sole() {
+            return String::new();
+        }
         format!("{}/", self.0)
     }
 }
@@ -541,13 +488,17 @@ impl std::fmt::Display for SourceId {
 /// and account names gain the `<source>/` prefix; entry payloads (titles,
 /// authors, comments) pass through untouched — they are display data, not
 /// keys. The result is what the merged snapshot, index and site consume.
-fn namespace_event(source: &SourceId, event: &RepoEvent) -> RepoEvent {
+/// The identity namespace borrows the event unchanged.
+fn namespace_event<'a>(source: &SourceId, event: &'a RepoEvent) -> Cow<'a, RepoEvent> {
     use crate::event::{Commented, EntryDelta, EntryRef, Founded, Registered, RoleGranted};
+    if source.is_sole() {
+        return Cow::Borrowed(event);
+    }
     let ns_principal = |p: &Principal| Principal {
         name: source.account(&p.name),
         ..p.clone()
     };
-    match event {
+    Cow::Owned(match event {
         RepoEvent::Founded(f) => RepoEvent::Founded(Founded {
             name: f.name.clone(),
             curators: f.curators.iter().map(ns_principal).collect(),
@@ -581,7 +532,7 @@ fn namespace_event(source: &SourceId, event: &RepoEvent) -> RepoEvent {
         RepoEvent::ChangesRequested(r) => RepoEvent::ChangesRequested(EntryRef {
             id: source.entry_id(&r.id),
         }),
-    }
+    })
 }
 
 /// The pure specification of federated state: namespace every source's
@@ -612,13 +563,14 @@ pub fn federate_snapshots(
     merged
 }
 
-/// Apply one *namespaced* event to the merged snapshot. Identical to
-/// [`apply_event`] except for `Founded`, which must register the source's
-/// curators without adopting the source repository's name (the federation
-/// keeps its own).
-fn apply_federated(merged: &mut RepositorySnapshot, event: &RepoEvent) {
+/// Apply one *namespaced* event of `source` to the merged snapshot.
+/// Identical to [`apply_event`] except for a named source's `Founded`,
+/// which must register the source's curators without adopting the source
+/// repository's name (the federation keeps its own). The identity
+/// namespace adopts it, so a replica is named like its primary.
+fn apply_federated(source: &SourceId, merged: &mut RepositorySnapshot, event: &RepoEvent) {
     match event {
-        RepoEvent::Founded(f) => {
+        RepoEvent::Founded(f) if !source.is_sole() => {
             for c in &f.curators {
                 merged.accounts.insert(c.name.clone(), c.clone());
             }
@@ -700,6 +652,15 @@ impl Federation {
     /// or absent (primaries that have not written yet).
     pub fn open(name: &str, sources: Vec<(SourceId, PathBuf)>) -> Result<Federation, RepoError> {
         Self::validate_sources(&sources)?;
+        Self::open_validated(name, sources)
+    }
+
+    /// [`Federation::open`] without the source-id check, so a [`Replica`]
+    /// can open over [`SourceId::sole`].
+    fn open_validated(
+        name: &str,
+        sources: Vec<(SourceId, PathBuf)>,
+    ) -> Result<Federation, RepoError> {
         let mut federation = Federation {
             name: name.to_string(),
             sources: Vec::with_capacity(sources.len()),
@@ -723,7 +684,7 @@ impl Federation {
         // sources (supervised degradation is for a *running* node), so
         // the first source error of the initial pass aborts the open —
         // the same error, for the same input, as before supervision.
-        let outcome = federation.catch_up()?;
+        let outcome = federation.catch_up();
         if let Some((_, error)) = outcome.errors.into_iter().next() {
             return Err(error);
         }
@@ -792,7 +753,7 @@ impl Federation {
     /// [`RecoveryPolicy::SalvagePrefix`] is active. Every supervision
     /// transition publishes [`HealthReport::Source`] on an attached
     /// runtime health channel.
-    pub fn catch_up(&mut self) -> Result<FederationCatchUp, RepoError> {
+    pub fn catch_up(&mut self) -> FederationCatchUp {
         let now = Instant::now();
         let policy = self.retry;
         let mut total = FederationCatchUp::default();
@@ -853,6 +814,7 @@ impl Federation {
                 // Only transitions report: a recovery, or a salvage.
                 reports.push(self.source_report(i, salvaged_bytes, now));
             }
+            let rebased = progress.new_base.is_some() || salvage_rebased;
             if let Some(base) = progress.new_base {
                 self.rebase_source(&source, base);
                 for observer in &self.observers {
@@ -862,7 +824,7 @@ impl Federation {
             let mut dirty: BTreeSet<EntryId> = BTreeSet::new();
             for event in &progress.events {
                 let event = namespace_event(&source, event);
-                apply_federated(&mut self.snapshot, &event);
+                apply_federated(&source, &mut self.snapshot, &event);
                 self.index.apply(&event);
                 for observer in &self.observers {
                     observer.accept(&event);
@@ -878,7 +840,7 @@ impl Federation {
             }
             let step = CatchUp {
                 events_applied: progress.events.len(),
-                rebased: progress.rebased || salvage_rebased,
+                rebased,
             };
             total.events_applied += step.events_applied;
             total.rebases += usize::from(step.rebased);
@@ -889,7 +851,7 @@ impl Federation {
                 health.report(component, report);
             }
         }
-        Ok(total)
+        total
     }
 
     /// Truncate source `i`'s log at its corruption boundary
@@ -987,8 +949,13 @@ impl Federation {
 
     /// Adopt `target` as source `source`'s contribution to the merged
     /// state, patching the index and site for exactly the namespaced
-    /// records that differ — the per-source re-base path.
+    /// records that differ — the one re-base path, for opening, crossing a
+    /// checkpoint, a recovered truncation and a salvage alike. The
+    /// identity namespace also adopts the target's name.
     fn rebase_source(&mut self, source: &SourceId, target: RepositorySnapshot) {
+        if source.is_sole() {
+            self.snapshot.name = target.name;
+        }
         let mut dirty: BTreeSet<EntryId> = BTreeSet::new();
         let target_records: BTreeMap<EntryId, EntryRecord> = target
             .records
@@ -1167,32 +1134,24 @@ impl DaemonShared {
     /// stats and the sticky error slots, then scheduling a timer-wheel
     /// retry if a backed-off source's deadline falls beyond the next
     /// periodic tick.
-    fn pass(self: &Arc<Self>) -> Result<FederationCatchUp, RepoError> {
+    fn pass(self: &Arc<Self>) -> FederationCatchUp {
         let (outcome, retry_in) = {
             let mut federation = daemon_lock(&self.federation);
             let outcome = federation.catch_up();
             let mut stats = daemon_lock(&self.stats);
-            match &outcome {
-                Ok(progress) => {
-                    stats.polls += 1;
-                    stats.events_applied += progress.events_applied as u64;
-                    stats.rebases += progress.rebases as u64;
-                    stats.source_lag = federation.lag();
-                    stats.source_health = federation.source_status();
-                    if !progress.errors.is_empty() {
-                        let mut errors = daemon_lock(&self.errors);
-                        for (source, error) in &progress.errors {
-                            errors.insert(source.clone(), error.clone());
-                        }
-                        // The "most recent" slot keeps its pre-existing
-                        // meaning: the last error any source raised.
-                        *daemon_lock(&self.error) = progress.errors.last().map(|(_, e)| e.clone());
-                    }
+            stats.polls += 1;
+            stats.events_applied += outcome.events_applied as u64;
+            stats.rebases += outcome.rebases as u64;
+            stats.source_lag = federation.lag();
+            stats.source_health = federation.source_status();
+            if !outcome.errors.is_empty() {
+                let mut errors = daemon_lock(&self.errors);
+                for (source, error) in &outcome.errors {
+                    errors.insert(source.clone(), error.clone());
                 }
-                Err(e) => {
-                    stats.polls += 1;
-                    *daemon_lock(&self.error) = Some(e.clone());
-                }
+                // The "most recent" slot keeps its pre-existing meaning:
+                // the last error any source raised.
+                *daemon_lock(&self.error) = outcome.errors.last().map(|(_, e)| e.clone());
             }
             let retry_in = federation.next_retry_in();
             (outcome, retry_in)
@@ -1238,7 +1197,7 @@ impl DaemonShared {
         runtime.schedule_once(delay, move || {
             if let Some(shared) = weak.upgrade() {
                 shared.retry_scheduled.store(false, Ordering::Release);
-                let _ = shared.pass();
+                shared.pass();
             }
         });
     }
@@ -1305,7 +1264,7 @@ impl ReplicaDaemon {
         let tick = runtime.schedule_periodic(config.poll_interval, move || {
             // Poll errors are recorded (sticky) and polling continues;
             // a vanished source may come back.
-            let _ = tick_shared.pass();
+            tick_shared.pass();
         });
         // The dedicated-thread daemon polled once immediately on start;
         // keep that, so a fresh daemon isn't blind for a full interval.
@@ -1319,9 +1278,10 @@ impl ReplicaDaemon {
 
     /// Catch up right now on the caller's thread (in addition to the
     /// scheduled polls), returning what the pass did. The federation and
-    /// stats are updated exactly as a scheduled poll would.
+    /// stats are updated exactly as a scheduled poll would. Never `Err`:
+    /// source failures land in [`FederationCatchUp::errors`].
     pub fn force_catch_up(&self) -> Result<FederationCatchUp, RepoError> {
-        self.shared.pass()
+        Ok(self.shared.pass())
     }
 
     /// Run `read` against the federation under the daemon's lock — the
@@ -1479,7 +1439,7 @@ mod tests {
         assert!(!progress.rebased);
         assert_eq!(replica.snapshot(), &r.snapshot());
         assert_eq!(replica.query(&["composers"]).len(), 1);
-        assert!(replica.bx.consistent(replica.snapshot(), replica.site()));
+        assert!(WikiBx::new().consistent(replica.snapshot(), replica.site()));
         // Idempotent when nothing new arrived.
         assert_eq!(replica.catch_up().unwrap(), CatchUp::default());
     }
@@ -1512,7 +1472,7 @@ mod tests {
         assert_eq!(progress.events_applied, 1, "only the post-checkpoint tail");
         assert_eq!(replica.snapshot(), &r.snapshot());
         assert_eq!(replica.index(), &SearchIndex::build(&r.snapshot()));
-        assert!(replica.bx.consistent(replica.snapshot(), replica.site()));
+        assert!(WikiBx::new().consistent(replica.snapshot(), replica.site()));
     }
 
     #[test]
@@ -1539,7 +1499,7 @@ mod tests {
         let expected = crate::event::replay(RepositorySnapshot::empty(""), &events[..3]);
         assert_eq!(replica.snapshot(), &expected);
         assert_eq!(replica.index(), &SearchIndex::build(&expected));
-        assert!(replica.bx.consistent(replica.snapshot(), replica.site()));
+        assert!(WikiBx::new().consistent(replica.snapshot(), replica.site()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1648,7 +1608,7 @@ mod tests {
         assert!(progress.rebased, "the appearing manifest forces a re-base");
         assert_eq!(replica.snapshot(), &r.snapshot());
         assert_eq!(replica.index(), &SearchIndex::build(&r.snapshot()));
-        assert!(replica.bx.consistent(replica.snapshot(), replica.site()));
+        assert!(WikiBx::new().consistent(replica.snapshot(), replica.site()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1676,6 +1636,51 @@ mod tests {
         let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
         backend.record(&r.drain_events()).unwrap();
         assert!(replica.catch_up().is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replica_reports_a_vanished_dir_on_every_catch_up_without_backoff() {
+        let dir = unique_dir("vanish-repeat");
+        let r = Repository::found("bx", vec![Principal::curator("c")]);
+        r.register(Principal::member("alice")).unwrap();
+        r.contribute("alice", entry("COMPOSERS")).unwrap();
+        let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
+        backend.record(&r.drain_events()).unwrap();
+        let mut replica = Replica::open(&dir).unwrap();
+
+        // Past the default quarantine threshold, every call polls again
+        // and fails: no backoff window ever turns a poll into a skip.
+        let aside = dir.with_extension("aside");
+        std::fs::rename(&dir, &aside).unwrap();
+        let calls = RetryPolicy::default().quarantine_after + 2;
+        for call in 0..calls {
+            let started = Instant::now();
+            let err = replica.catch_up().unwrap_err();
+            assert!(
+                matches!(err, RepoError::SourceUnavailable { .. }),
+                "call {call}: expected SourceUnavailable, got {err:?}"
+            );
+            assert!(
+                started.elapsed() < RetryPolicy::default().base / 2,
+                "call {call} waited like a backoff"
+            );
+            assert_eq!(replica.snapshot(), &r.snapshot(), "last good state serves");
+        }
+
+        // The restored directory resumes tailing where it left off.
+        std::fs::rename(&aside, &dir).unwrap();
+        let mut backend = crate::storage::EventLogBackend::open(&dir).unwrap();
+        r.comment(
+            "alice",
+            &EntryId::from_title("COMPOSERS"),
+            "2014-03-28",
+            "back",
+        )
+        .unwrap();
+        backend.record(&r.drain_events()).unwrap();
+        assert_eq!(replica.catch_up().unwrap().events_applied, 1);
+        assert_eq!(replica.snapshot(), &r.snapshot());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1850,7 +1855,7 @@ mod tests {
         b.contribute("alice", entry("DATES")).unwrap();
         backend_b.record(&b.drain_events()).unwrap();
 
-        let progress = federation.catch_up().unwrap();
+        let progress = federation.catch_up();
         assert_eq!(progress.rebases, 1, "only source a crossed a checkpoint");
         assert!(progress.per_source[0].rebased);
         assert!(!progress.per_source[1].rebased);
@@ -1979,8 +1984,8 @@ mod tests {
              (the open's first catch-up reuses the stamp taken at open)"
         );
         // Idle polls on an unchanged federation never re-parse.
-        federation.catch_up().unwrap();
-        federation.catch_up().unwrap();
+        federation.catch_up();
+        federation.catch_up();
         assert_eq!(crate::storage::manifests_parsed() - before, 2);
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
@@ -2097,7 +2102,7 @@ mod tests {
         });
 
         std::fs::remove_dir_all(&dir_a).unwrap();
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         assert_eq!(outcome.errors.len(), 1);
         assert_eq!(outcome.skipped, 0);
 
@@ -2105,7 +2110,7 @@ mod tests {
         // (not polled), while the healthy peer keeps folding.
         b.contribute("alice", entry("COMPOSERS")).unwrap();
         backend_b.record(&b.drain_events()).unwrap();
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         assert!(outcome.errors.is_empty());
         assert_eq!(outcome.skipped, 1);
         assert_eq!(outcome.events_applied, 1);
@@ -2134,7 +2139,7 @@ mod tests {
         // the source again immediately.
         assert!(federation.retry_source_now(&SourceId::new("a")));
         assert!(!federation.retry_source_now(&SourceId::new("nonesuch")));
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         assert_eq!(outcome.errors.len(), 1);
         assert_eq!(outcome.skipped, 0);
         std::fs::remove_dir_all(&dir_b).ok();
@@ -2177,7 +2182,7 @@ mod tests {
 
         // Fail-stop (the default): the source quarantines and stays sick
         // across passes — corruption is never silently skipped.
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         assert!(matches!(
             outcome.errors[0].1,
             RepoError::CorruptFrame { offset, .. } if offset == boundary
@@ -2186,7 +2191,7 @@ mod tests {
             federation.source_status()[0].1.health,
             SourceHealth::Quarantined
         );
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         assert!(outcome.salvaged.is_empty());
         assert_eq!(outcome.errors.len(), 1);
 
@@ -2194,7 +2199,7 @@ mod tests {
         // reopens the tail from the intact prefix, and reports exactly
         // what was dropped.
         federation.set_recovery_policy(RecoveryPolicy::SalvagePrefix);
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         assert!(outcome.errors.is_empty());
         assert_eq!(outcome.salvaged.len(), 1);
         let (source, report) = &outcome.salvaged[0];
@@ -2211,7 +2216,7 @@ mod tests {
         a.contribute("alice", entry("TRIPLEGRAPH")).unwrap();
         let mut backend_a = crate::storage::EventLogBackend::open(&dir_a).unwrap();
         backend_a.record(&a.drain_events()).unwrap();
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         assert_eq!(outcome.events_applied, 1);
         assert_eq!(federation.query(&["triplegraph"]).len(), 1);
         std::fs::remove_dir_all(&dir_a).ok();
@@ -2231,15 +2236,15 @@ mod tests {
         federation.health = Some((Arc::clone(&health), "fed".to_string()));
 
         // Steady healthy state publishes nothing.
-        federation.catch_up().unwrap();
+        federation.catch_up();
         assert!(health.drain().is_empty(), "no news is good news");
 
         // Failure → degraded transition publishes; recovery publishes.
         std::fs::rename(&dir_a, &hidden).unwrap();
-        federation.catch_up().unwrap();
+        federation.catch_up();
         std::fs::rename(&hidden, &dir_a).unwrap();
         federation.retry_source_now(&SourceId::new("a"));
-        federation.catch_up().unwrap();
+        federation.catch_up();
 
         let states: Vec<String> = health
             .drain()
@@ -2338,7 +2343,7 @@ mod tests {
         )
         .unwrap();
         backend.record(&a.drain_events()).unwrap();
-        federation.catch_up().unwrap();
+        federation.catch_up();
         let accepted = sink.accepted.lock().unwrap();
         assert_eq!(accepted.len(), 1);
         assert_eq!(

@@ -31,8 +31,9 @@
 //! [`std::sync::Arc`] and move whatever mutable state a job needs into
 //! it.
 //!
-//! Cold restore is not a tenant: replicas and federations open through
-//! the one sequential decode/fold path (see [`crate::replica::Replica::open`]).
+//! Cold restore is not a tenant: replicas and federations open on the
+//! calling thread, through the one re-base-then-catch-up path (see
+//! [`crate::replica::Federation::open`]).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -253,7 +253,7 @@ fn an_unchanged_binary_log_polls_with_zero_lag_and_zero_events() {
     // run), the poll returns nothing, and the position does not move.
     for _ in 0..3 {
         let idle = tail.poll().unwrap();
-        assert!(idle.events.is_empty() && !idle.rebased);
+        assert!(idle.events.is_empty() && idle.new_base.is_none());
         assert_eq!(tail.lag_bytes(), 0);
         assert_eq!(tail.position(), (generation.as_str(), applied));
     }

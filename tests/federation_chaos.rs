@@ -206,7 +206,7 @@ proptest! {
         }
 
         // Chaos pass: typed per-source errors, no abort, degraded serving.
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         for i in 0..3 {
             match faults[i] {
                 Fault::VanishForever | Fault::VanishThenReappear => {
@@ -236,7 +236,7 @@ proptest! {
             }
         }
         for _ in 0..3 {
-            federation.catch_up().unwrap();
+            federation.catch_up();
         }
         assert_converged(&federation, &expected);
         for (i, (source, status)) in federation.source_status().iter().enumerate() {
@@ -257,7 +257,7 @@ proptest! {
             }
         }
         federation.set_recovery_policy(RecoveryPolicy::SalvagePrefix);
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         prop_assert!(outcome.errors.is_empty(), "everyone repaired: {:?}", outcome.errors);
         for i in 0..3 {
             if faults[i] == Fault::CorruptFrame {
@@ -289,7 +289,7 @@ proptest! {
             ],
             schedule: Vec::new(),
         });
-        federation.catch_up().unwrap();
+        federation.catch_up();
         assert_converged(&federation, &final_folds);
 
         for dir in &dirs {
@@ -338,7 +338,7 @@ fn backoff_bounds_the_poll_cost_of_a_dead_source() {
     });
 
     let _tomb = vanish_dir(&dirs[0]).unwrap();
-    let outcome = federation.catch_up().unwrap();
+    let outcome = federation.catch_up();
     assert_eq!(outcome.errors.len(), 1);
 
     // Fifty hot catch-up passes: the dead source is skipped every time,
@@ -348,7 +348,7 @@ fn backoff_bounds_the_poll_cost_of_a_dead_source() {
         if round == 25 {
             drive_federation(&dirs[1..2], &single_script(vec![contribute("MIDWAY")]));
         }
-        let outcome = federation.catch_up().unwrap();
+        let outcome = federation.catch_up();
         assert!(
             outcome.errors.is_empty(),
             "the dead source is not re-polled"
@@ -393,8 +393,8 @@ fn a_reappeared_source_resumes_its_tail_without_rebase() {
     federation.set_retry_policy(eager_policy());
 
     let hidden = vanish_dir(&dirs[0]).unwrap();
-    federation.catch_up().unwrap();
-    federation.catch_up().unwrap();
+    federation.catch_up();
+    federation.catch_up();
     assert_eq!(
         federation.source_status()[0].1.health,
         SourceHealth::Quarantined
@@ -402,7 +402,7 @@ fn a_reappeared_source_resumes_its_tail_without_rebase() {
 
     restore_dir(&hidden, &dirs[0]).unwrap();
     drive_federation(&dirs[..1], &single_script(vec![contribute("ENCORE")]));
-    let outcome = federation.catch_up().unwrap();
+    let outcome = federation.catch_up();
     assert!(outcome.errors.is_empty());
     let resumed = &outcome.per_source[0];
     assert!(resumed.events_applied > 0, "the new events flow");

@@ -126,7 +126,8 @@ proptest! {
             &FederationScript { sources: plans, schedule },
         );
 
-        federation.catch_up().expect("all three directories are present");
+        let outcome = federation.catch_up();
+        prop_assert!(outcome.errors.is_empty(), "all three directories are present");
         assert_converged(&federation, &expected);
         // Fully caught up: nothing durable is left unapplied. (Source c
         // legitimately reports its torn half-line as lag until a writer

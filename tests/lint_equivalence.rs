@@ -211,7 +211,7 @@ fn federation_lint_flags_the_violating_source() {
             entry: violating_entry("ALSO BROKEN"),
         })])
         .unwrap();
-    federation.catch_up().unwrap();
+    federation.catch_up();
     checker.wait_idle();
     let diagnostics = checker.diagnostics();
     assert!(!diagnostics
