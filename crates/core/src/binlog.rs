@@ -1,11 +1,13 @@
-//! The binary segmented event log: [`BinaryLogBackend`].
+//! The binary on-disk format of the generation log: [`Binary`], written
+//! and read by [`BinaryLogBackend`] (= [`LogBackend<Binary>`]).
 //!
-//! A second on-disk format behind [`crate::storage::StorageBackend`],
-//! built for raw replay speed and whole-log corruption detection. Where
-//! [`crate::storage::EventLogBackend`] writes one JSON line per event
-//! (human-friendly, parse- and allocation-bound on replay, torn-tail
-//! detection by line heuristic), this backend writes length-prefixed
-//! binary *frames* into fixed-size *segment* files:
+//! [`LogBackend`] is one backend over two [`LogFormat`]s; this module
+//! holds the binary one, built for raw replay speed and whole-log
+//! corruption detection. Where [`crate::storage::Jsonl`] writes one JSON
+//! line per event (human-friendly, parse- and allocation-bound on
+//! replay, torn-tail detection by the missing final newline), this
+//! format writes length-prefixed binary *frames* into fixed-size
+//! *segment* files:
 //!
 //! ```text
 //! frame := len:u32le  check:u32le  crc:u32le  payload[len]
@@ -20,7 +22,7 @@
 //! * A *torn tail* — fewer bytes than one whole frame promises, at the
 //!   very end of the last segment — is what a crash mid-`write` leaves.
 //!   It is not corruption: readers stop cleanly before it and the writer
-//!   truncates it at open, exactly the JSONL backend's contract.
+//!   truncates it at open, exactly as for a JSONL log.
 //! * Replay is one buffered read per segment plus an in-place frame
 //!   scan: no line splitting, no intermediate `String`s, no serde.
 //!
@@ -33,22 +35,17 @@
 //! segments plus the position in the live one — and an unchanged log
 //! costs only a metadata stat to poll.
 //!
-//! The manifest (`checkpoint.json`) is shared with the JSONL backend —
+//! The manifest (`checkpoint.json`) is shared with the JSONL format —
 //! deliberately, so one directory format serves both and
 //! [`crate::storage::EventLogBackend::restore_dir`], the `bx_lint` CLI,
 //! [`crate::replica::Replica`] and federations dispatch on the generation
 //! name's extension alone.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::error::RepoError;
-use crate::event::{replay, RepoEvent};
-use crate::repo::RepositorySnapshot;
-use crate::storage::{
-    DurabilityMode, EventLogBackend, FsyncStats, Manifest, StorageBackend, TailRepaired,
-};
+use crate::event::RepoEvent;
+use crate::storage::{log_files, EventLogBackend, LogBackend, LogFormat, StorageBackend};
 use crate::template::{
     Artefact, ArtefactKind, Comment, ExampleEntry, ExampleType, Reference, RestorationSpec,
     VariantPoint,
@@ -65,14 +62,11 @@ const LEN_MASK: u32 = 0xA5A5_5A5A;
 /// Frame header size: `len`, `check`, `crc`, each `u32` little-endian.
 const FRAME_HEADER: usize = 12;
 
-/// Generation names of this format end in `.bin` (vs `.jsonl`).
-pub const BIN_SUFFIX: &str = ".bin";
-
 /// Whether a generation name (from a checkpoint manifest or
 /// [`crate::storage::EventLogBackend::read_state_in`]) names a binary
 /// segmented log rather than a JSONL one.
 pub fn is_binary_generation(name: &str) -> bool {
-    name.ends_with(BIN_SUFFIX)
+    name.ends_with(Binary::SUFFIX)
 }
 
 // ---------------------------------------------------------------------
@@ -561,209 +555,108 @@ pub fn encode_frame(event: &RepoEvent, out: &mut Vec<u8>) {
     out[header_at + 8..header_at + 12].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// What the scanner found at one position in a segment buffer.
-// The event variant dwarfs the others, but this enum lives only as a
-// hot-path return value — boxing every decoded event to shrink it would
-// add an allocation per replayed frame for nothing.
-#[allow(clippy::large_enum_variant)]
-enum FrameScan {
-    /// Clean end of buffer: the position sits exactly on a frame boundary.
-    End,
-    /// A complete, checksum-clean frame; `usize` is the next position.
-    Frame(RepoEvent, usize),
-    /// Fewer bytes remain than one whole frame promises — a torn tail if
-    /// this is the end of the *last* segment, corruption otherwise.
-    Torn,
-    /// An integrity check failed: header mask, payload CRC, or decode.
-    Corrupt(String),
+/// The little-endian `u32` at `at`.
+fn word(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
 }
 
-fn scan_frame(buf: &[u8], pos: usize) -> FrameScan {
+/// The frame header at `pos`: `Ok(Some(len))` when the header checks out
+/// and all `len` payload bytes are present, `Ok(None)` at the end of the
+/// buffer or before an incomplete frame, `Err` when the header fails its
+/// check — verified before `len` is trusted, so a flipped length byte
+/// reads as corruption, not as a huge torn tail.
+fn frame_at(buf: &[u8], pos: usize) -> Result<Option<usize>, String> {
     let remaining = buf.len() - pos;
-    if remaining == 0 {
-        return FrameScan::End;
-    }
     if remaining < FRAME_HEADER {
-        return FrameScan::Torn;
+        return Ok(None);
     }
-    let word = |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
-    let len = word(pos);
-    let check = word(pos + 4);
-    // Verify the header before trusting `len` for anything — a flipped
-    // length byte must read as corruption, not as a huge torn tail.
+    let (len, check) = (word(buf, pos), word(buf, pos + 4));
     if check != len ^ LEN_MASK {
-        return FrameScan::Corrupt(format!(
+        return Err(format!(
             "frame header check mismatch (len={len:#010x}, check={check:#010x})"
         ));
     }
-    let len = len as usize;
-    if remaining < FRAME_HEADER + len {
-        return FrameScan::Torn;
-    }
-    let stored_crc = word(pos + 8);
-    let payload = &buf[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-    let actual_crc = crc32(payload);
-    if actual_crc != stored_crc {
-        return FrameScan::Corrupt(format!(
-            "payload CRC mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-        ));
-    }
-    match decode_event(payload) {
-        Ok(event) => FrameScan::Frame(event, pos + FRAME_HEADER + len),
-        Err(e) => FrameScan::Corrupt(format!("payload decode failed: {e}")),
-    }
+    Ok((remaining - FRAME_HEADER >= len as usize).then_some(len as usize))
 }
 
-/// Decode the frames of one segment buffer from `start`. Returns the
-/// events plus the byte position consumed. A torn tail is tolerated only
-/// when `last_segment` (sealed segments hold whole frames by
-/// construction); anything else integrity-fails as
-/// [`RepoError::CorruptFrame`].
-fn read_segment(
-    buf: &[u8],
-    segment: &str,
-    last_segment: bool,
-    start: usize,
-) -> Result<(Vec<RepoEvent>, usize), RepoError> {
-    // Guess one event per 96 bytes (small comment frames) so a replay
-    // of a full segment does not regrow the vector a dozen times; a
-    // short guess merely falls back to normal amortised growth.
-    let mut events = Vec::with_capacity(buf.len().saturating_sub(start) / 96);
-    let mut pos = start;
-    loop {
-        match scan_frame(buf, pos) {
-            FrameScan::End => return Ok((events, pos)),
-            FrameScan::Frame(event, next) => {
-                events.push(event);
-                pos = next;
+/// The binary format: CRC-checked frames in segment files of at most
+/// [`BinaryLogBackend::DEFAULT_SEGMENT_BYTES`] (see the module docs).
+#[derive(Debug)]
+pub struct Binary;
+
+impl LogFormat for Binary {
+    const SUFFIX: &'static str = ".bin";
+    const KIND: &'static str = "binary-log";
+    const COMPACTED_KIND: &'static str = "binary-log+auto-compact";
+    const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
+
+    fn files(dir: &Path, generation: &str) -> Result<Vec<String>, RepoError> {
+        segment_files(dir, generation)
+    }
+
+    fn file_name(generation: &str, index: u32) -> String {
+        format!("{generation}.{index:06}")
+    }
+
+    fn encode(event: &RepoEvent, out: &mut Vec<u8>) -> Result<(), RepoError> {
+        encode_frame(event, out);
+        Ok(())
+    }
+
+    fn decode(buf: &[u8], file: &str, at: u64) -> Result<(Vec<RepoEvent>, usize), RepoError> {
+        let corrupt = |pos: usize, reason: String| RepoError::CorruptFrame {
+            segment: file.to_string(),
+            offset: at + pos as u64,
+            reason,
+        };
+        // Guess one event per 96 bytes (small comment frames) so a replay
+        // of a full segment does not regrow the vector a dozen times; a
+        // short guess merely falls back to normal amortised growth.
+        let mut events = Vec::with_capacity(buf.len() / 96);
+        let mut pos = 0;
+        loop {
+            let len = match frame_at(buf, pos) {
+                Ok(Some(len)) => len,
+                Ok(None) => return Ok((events, pos)),
+                Err(reason) => return Err(corrupt(pos, reason)),
+            };
+            let payload = &buf[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
+            let (stored, computed) = (word(buf, pos + 8), crc32(payload));
+            if stored != computed {
+                return Err(corrupt(
+                    pos,
+                    format!(
+                        "payload CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
+                    ),
+                ));
             }
-            FrameScan::Torn if last_segment => return Ok((events, pos)),
-            FrameScan::Torn => {
-                return Err(RepoError::CorruptFrame {
-                    segment: segment.to_string(),
-                    offset: pos as u64,
-                    reason: "incomplete frame inside a sealed segment".to_string(),
-                })
-            }
-            FrameScan::Corrupt(reason) => {
-                return Err(RepoError::CorruptFrame {
-                    segment: segment.to_string(),
-                    offset: pos as u64,
-                    reason,
-                })
+            let event = decode_event(payload)
+                .map_err(|e| corrupt(pos, format!("payload decode failed: {e}")))?;
+            events.push(event);
+            pos += FRAME_HEADER + len;
+        }
+    }
+
+    fn scan(buf: &[u8]) -> (usize, usize, bool) {
+        let (mut records, mut pos) = (0, 0);
+        loop {
+            match frame_at(buf, pos) {
+                Ok(Some(len)) => {
+                    records += 1;
+                    pos += FRAME_HEADER + len;
+                }
+                Ok(None) => return (records, pos, pos < buf.len()),
+                Err(_) => return (records, pos, false),
             }
         }
     }
-}
-
-fn io_err(e: std::io::Error) -> RepoError {
-    RepoError::Persist(e.to_string())
 }
 
 /// The segment files of one generation, sorted (zero-padded indices make
 /// lexical order numeric order). Empty when the generation has never
 /// been written — or the directory does not exist.
 pub fn segment_files(dir: &Path, generation: &str) -> Result<Vec<String>, RepoError> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(io_err(e)),
-    };
-    let prefix = format!("{generation}.");
-    let mut out = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(io_err)?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(rest) = name.strip_prefix(&prefix) {
-            if rest.len() == 6 && rest.bytes().all(|b| b.is_ascii_digit()) {
-                out.push(name);
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// Total on-disk length of a generation — the sum of its segment sizes.
-/// This is the "end offset" a fully caught-up tail sits at, so an
-/// unchanged log is detected by metadata alone.
-pub(crate) fn generation_len(dir: &Path, generation: &str) -> Result<u64, RepoError> {
-    let mut total = 0;
-    for name in segment_files(dir, generation)? {
-        total += std::fs::metadata(dir.join(&name)).map_err(io_err)?.len();
-    }
-    Ok(total)
-}
-
-/// Read a generation's events from a *global* byte offset (a frame
-/// boundary from a previous read). Returns `Ok(None)` when the log is
-/// shorter than `offset` — it was checkpoint-rolled or foreign-truncated
-/// and the caller must re-base — and `Ok(Some((events, end)))` otherwise,
-/// where `end` is the offset consumed (torn tail bytes excluded). The
-/// unchanged case (`end == offset`, no events) costs one directory scan
-/// and per-segment stats, no reads.
-pub(crate) fn read_tail(
-    dir: &Path,
-    generation: &str,
-    offset: u64,
-) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
-    let segments = segment_files(dir, generation)?;
-    let mut sizes = Vec::with_capacity(segments.len());
-    for name in &segments {
-        sizes.push(std::fs::metadata(dir.join(name)).map_err(io_err)?.len());
-    }
-    let total: u64 = sizes.iter().sum();
-    if total < offset {
-        return Ok(None);
-    }
-    if total == offset {
-        return Ok(Some((Vec::new(), offset)));
-    }
-    let last = segments.len().saturating_sub(1);
-    let mut events = Vec::new();
-    let mut consumed = offset;
-    let mut base = 0u64;
-    for (i, (name, &size)) in segments.iter().zip(&sizes).enumerate() {
-        if base + size <= offset {
-            // Entirely before the tail: sealed segments never change, so
-            // the statted size is their final size.
-            base += size;
-            continue;
-        }
-        let local_start = offset.saturating_sub(base) as usize;
-        // One buffered read of the whole segment; frames decode in place.
-        let buf = std::fs::read(dir.join(name)).map_err(io_err)?;
-        if local_start > buf.len() {
-            return Ok(None);
-        }
-        let (mut decoded, local_end) = read_segment(&buf, name, i == last, local_start)?;
-        events.append(&mut decoded);
-        consumed = base + local_end as u64;
-        if local_end < buf.len() {
-            // Torn tail: stop here; the bytes stay unconsumed for the
-            // next poll (by then the writer may have completed the frame).
-            break;
-        }
-        base += buf.len() as u64;
-    }
-    Ok(Some((events, consumed)))
-}
-
-/// All events of a generation (the cold-restore read path).
-pub(crate) fn read_generation(dir: &Path, generation: &str) -> Result<Vec<RepoEvent>, RepoError> {
-    Ok(read_tail(dir, generation, 0)?
-        .map(|(events, _)| events)
-        .unwrap_or_default())
-}
-
-/// The generation name to assume for a directory with no checkpoint
-/// manifest: binary if generation-0 binary segments exist, else the
-/// JSONL default (which also covers a completely fresh directory).
-pub(crate) fn unmanifested_generation(dir: &Path) -> String {
-    match segment_files(dir, "events-0.bin") {
-        Ok(segments) if !segments.is_empty() => "events-0.bin".to_string(),
-        _ => "events-0.jsonl".to_string(),
-    }
+    log_files(dir, |g| g == generation)
 }
 
 /// A strict prefix of a valid frame — the bytes a crash mid-`write(2)`
@@ -810,8 +703,7 @@ pub fn corrupt_frame_bytes() -> Vec<u8> {
 /// pending events carried across.
 ///
 /// A torn tail in `src` is dropped (it was never durable); real
-/// corruption aborts the conversion with the source format's error
-/// ([`RepoError::CorruptFrame`] for binary, `Persist` for JSONL).
+/// corruption aborts the conversion with [`RepoError::CorruptFrame`].
 /// `dst` must be empty or absent — an existing log is refused, never
 /// merged into. This is the engine behind the `bx_logconv` CLI; the
 /// round-trip property (JSONL → binary → JSONL restores identically)
@@ -845,408 +737,25 @@ pub fn convert_log_dir(src: &Path, dst: &Path, to_binary: bool) -> Result<usize,
     Ok(events.len())
 }
 
-/// Append-only binary segmented log backend. See the module docs for the
-/// format; the operational contract (persistent appender, two-phase
-/// durability, manifest-rename checkpoints, single writer per directory,
-/// clones are fresh writers owing no fsync) mirrors
-/// [`crate::storage::EventLogBackend`] exactly — the two are drop-in
-/// interchangeable behind [`StorageBackend`].
-#[derive(Debug)]
-pub struct BinaryLogBackend {
-    dir: PathBuf,
-    /// Current generation's logical name (`events-<n>.bin`), relative to
-    /// `dir`. Segment files append a `.NNNNNN` index to it.
-    generation: String,
-    /// Index of the segment currently being appended to.
-    segment_index: u32,
-    /// Byte length of the current segment (tracked to decide rolls
-    /// without a stat per batch; re-derived whenever the appender opens).
-    segment_len: u64,
-    /// Roll to a new segment once the current one would exceed this.
-    segment_bytes: u64,
-    durability: DurabilityMode,
-    appender: Option<File>,
-    /// Bytes staged but not fsynced — only in [`DurabilityMode::GroupCommit`].
-    dirty: bool,
-    /// Current segment's length at its last fsync, for the
-    /// `sync_data`-when-unchanged downgrade.
-    synced_len: Option<u64>,
-    fsync_stats: FsyncStats,
-    /// The torn-tail truncation `open` performed, if any.
-    tail_repaired: Option<TailRepaired>,
-}
-
-/// A clone is a fresh writer over the same directory and generation — it
-/// opens its own appender on first use and owes no fsync for bytes the
-/// original staged.
-impl Clone for BinaryLogBackend {
-    fn clone(&self) -> BinaryLogBackend {
-        BinaryLogBackend {
-            dir: self.dir.clone(),
-            generation: self.generation.clone(),
-            segment_index: self.segment_index,
-            segment_len: self.segment_len,
-            segment_bytes: self.segment_bytes,
-            durability: self.durability,
-            appender: None,
-            dirty: false,
-            synced_len: None,
-            fsync_stats: FsyncStats::default(),
-            tail_repaired: None,
-        }
-    }
-}
+/// The binary segmented generation log (see [`LogBackend`] and the
+/// module docs). It is drop-in interchangeable with
+/// [`crate::storage::EventLogBackend`] behind [`StorageBackend`].
+pub type BinaryLogBackend = LogBackend<Binary>;
 
 impl BinaryLogBackend {
     /// Default segment size cap. Small enough that tailing re-reads at
     /// most this much on a partially-consumed segment, large enough that
     /// a million-event log stays in the tens of segments.
-    pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
-
-    /// Open (creating the directory if needed) a binary log under `dir`
-    /// with the default segment size.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<BinaryLogBackend, RepoError> {
-        Self::open_with_segment_bytes(dir, Self::DEFAULT_SEGMENT_BYTES)
-    }
+    pub const DEFAULT_SEGMENT_BYTES: u64 = Binary::SEGMENT_BYTES;
 
     /// Open with an explicit segment size cap (frames never span
     /// segments, so a frame larger than the cap gets a segment to
-    /// itself). Opening repairs a torn final frame in the last segment —
-    /// the fragment was never readable, so truncating it loses nothing —
-    /// but leaves *corrupt* frames untouched for `restore` to report.
+    /// itself); otherwise exactly [`LogBackend::open`].
     pub fn open_with_segment_bytes(
         dir: impl Into<PathBuf>,
         segment_bytes: u64,
     ) -> Result<BinaryLogBackend, RepoError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
-        let generation = match EventLogBackend::read_manifest_in(&dir)? {
-            Some(manifest) => manifest.log,
-            None => "events-0.bin".to_string(),
-        };
-        if !is_binary_generation(&generation) {
-            return Err(RepoError::Persist(format!(
-                "directory holds a JSONL event log (generation `{generation}`); \
-                 open it with EventLogBackend or convert it with bx_logconv"
-            )));
-        }
-        let segment_index = segment_files(&dir, &generation)?
-            .last()
-            .and_then(|name| name.rsplit('.').next())
-            .and_then(|idx| idx.parse().ok())
-            .unwrap_or(0);
-        let mut backend = BinaryLogBackend {
-            dir,
-            generation,
-            segment_index,
-            segment_len: 0,
-            segment_bytes: segment_bytes.max(1),
-            durability: DurabilityMode::default(),
-            appender: None,
-            dirty: false,
-            synced_len: None,
-            fsync_stats: FsyncStats::default(),
-            tail_repaired: None,
-        };
-        backend.tail_repaired = backend.repair_torn_tail()?;
-        Ok(backend)
-    }
-
-    /// The active [`DurabilityMode`].
-    pub fn durability(&self) -> DurabilityMode {
-        self.durability
-    }
-
-    /// How this instance's fsyncs split between `sync_all` and
-    /// `sync_data` (same accounting as the JSONL backend).
-    pub fn fsync_stats(&self) -> FsyncStats {
-        self.fsync_stats
-    }
-
-    /// The current generation's logical name (what the manifest records).
-    pub fn current_generation(&self) -> &str {
-        &self.generation
-    }
-
-    /// The configured segment size cap.
-    pub fn segment_bytes(&self) -> u64 {
-        self.segment_bytes
-    }
-
-    /// Every segment file of the current generation, sorted.
-    pub fn generation_files(&self) -> Result<Vec<String>, RepoError> {
-        segment_files(&self.dir, &self.generation)
-    }
-
-    fn segment_name(&self) -> String {
-        format!("{}.{:06}", self.generation, self.segment_index)
-    }
-
-    /// Truncate a torn final frame off the last segment, if any,
-    /// returning a note of what was dropped. Walks headers only (mask +
-    /// bounds): a CRC or decode failure is real corruption and is
-    /// deliberately left in place to surface at `restore`, not silently
-    /// amputated here.
-    fn repair_torn_tail(&self) -> Result<Option<TailRepaired>, RepoError> {
-        let Some(last) = self.generation_files()?.into_iter().next_back() else {
-            return Ok(None);
-        };
-        let path = self.dir.join(&last);
-        let buf = std::fs::read(&path).map_err(io_err)?;
-        let mut pos = 0usize;
-        loop {
-            let remaining = buf.len() - pos;
-            if remaining == 0 {
-                return Ok(None);
-            }
-            if remaining >= FRAME_HEADER {
-                let word = |at: usize| {
-                    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
-                };
-                let len = word(pos);
-                if word(pos + 4) != len ^ LEN_MASK {
-                    // Corrupt header: not a torn tail; leave for restore.
-                    return Ok(None);
-                }
-                if remaining >= FRAME_HEADER + len as usize {
-                    pos += FRAME_HEADER + len as usize;
-                    continue;
-                }
-            }
-            // Fewer bytes than the frame promises: torn — truncate.
-            let file = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
-            file.set_len(pos as u64).map_err(io_err)?;
-            file.sync_all().map_err(io_err)?;
-            return Ok(Some(TailRepaired {
-                file: last,
-                bytes_dropped: (buf.len() - pos) as u64,
-            }));
-        }
-    }
-
-    /// Remove segments of superseded generations (strays from crashes in
-    /// the checkpoint window). Returns how many files were removed.
-    pub fn prune_stale_generations(&self) -> Result<usize, RepoError> {
-        let mut removed = 0;
-        for entry in std::fs::read_dir(&self.dir).map_err(io_err)? {
-            let entry = entry.map_err(io_err)?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let stale_binary = name.starts_with("events-")
-                && name.contains(".bin.")
-                && !name.starts_with(&format!("{}.", self.generation));
-            // A converted directory may also hold a superseded JSONL log.
-            let stale_jsonl = name.starts_with("events-") && name.ends_with(".jsonl");
-            if stale_binary || stale_jsonl {
-                std::fs::remove_file(entry.path()).map_err(io_err)?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
-    }
-
-    /// How many events sit in the log beyond the last checkpoint, by a
-    /// headers-only walk (no payload decode — the count is wanted on
-    /// open/monitoring paths). A torn final frame is not counted; a
-    /// corrupt frame stops the walk and surfaces at `restore` instead.
-    pub fn pending_events(&self) -> Result<usize, RepoError> {
-        let mut count = 0usize;
-        for name in self.generation_files()? {
-            let buf = std::fs::read(self.dir.join(&name)).map_err(io_err)?;
-            let mut pos = 0usize;
-            while buf.len() - pos >= FRAME_HEADER {
-                let word = |at: usize| {
-                    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
-                };
-                let len = word(pos);
-                if word(pos + 4) != len ^ LEN_MASK || buf.len() - pos < FRAME_HEADER + len as usize
-                {
-                    break;
-                }
-                count += 1;
-                pos += FRAME_HEADER + len as usize;
-            }
-        }
-        Ok(count)
-    }
-
-    fn appender(&mut self) -> Result<&mut File, RepoError> {
-        if self.appender.is_none() {
-            let path = self.dir.join(self.segment_name());
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| RepoError::persist_io("open binary log appender", e))?;
-            self.segment_len = file
-                .metadata()
-                .map_err(|e| RepoError::persist_io("stat binary log segment", e))?
-                .len();
-            self.appender = Some(file);
-        }
-        Ok(self.appender.as_mut().expect("appender was just opened"))
-    }
-
-    fn write_chunk(&mut self, chunk: &[u8]) -> Result<(), RepoError> {
-        let len = chunk.len() as u64;
-        let file = self.appender()?;
-        file.write_all(chunk)
-            .map_err(|e| RepoError::persist_io("append binary log", e))?;
-        self.segment_len += len;
-        Ok(())
-    }
-
-    /// Seal the current segment (fsync so its full length is durable
-    /// before anything lands in the next one) and open the successor.
-    fn roll_segment(&mut self) -> Result<(), RepoError> {
-        if let Some(file) = self.appender.take() {
-            file.sync_all()
-                .map_err(|e| RepoError::persist_io("fsync sealed binary segment", e))?;
-            self.fsync_stats.sync_all += 1;
-        }
-        self.segment_index += 1;
-        self.segment_len = 0;
-        self.synced_len = None;
-        Ok(())
-    }
-
-    /// `restore()` plus the replayed event count off a single pass (the
-    /// compacting wrapper's open path needs both).
-    pub(crate) fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError> {
-        let (base, generation) = match EventLogBackend::read_manifest_in(&self.dir)? {
-            Some(manifest) => (manifest.state, manifest.log),
-            None => (RepositorySnapshot::empty(""), self.generation.clone()),
-        };
-        let events = if is_binary_generation(&generation) {
-            read_generation(&self.dir, &generation)?
-        } else {
-            // A foreign checkpoint switched the directory back to JSONL;
-            // reads follow the manifest, as the JSONL backend's do.
-            EventLogBackend::read_log_file(&self.dir.join(&generation))?
-        };
-        Ok((replay(base, &events), events.len()))
-    }
-}
-
-impl StorageBackend for BinaryLogBackend {
-    fn kind(&self) -> &'static str {
-        "binary-log"
-    }
-
-    fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        // Make sure segment_len is real before sizing against the cap.
-        self.appender()?;
-        // Pack frames greedily: everything destined for the current
-        // segment accumulates in one chunk (one write_all), rolling to a
-        // fresh segment whenever the next frame would overflow the cap.
-        // A frame larger than the cap still gets a (solo) segment — the
-        // cap bounds segment size, it does not limit event size.
-        let mut pending: Vec<u8> = Vec::new();
-        for event in events {
-            let before = pending.len();
-            encode_frame(event, &mut pending);
-            let frame_len = (pending.len() - before) as u64;
-            let base = self.segment_len + before as u64;
-            if base > 0 && base + frame_len > self.segment_bytes {
-                let frame = pending.split_off(before);
-                if !pending.is_empty() {
-                    self.write_chunk(&std::mem::take(&mut pending))?;
-                }
-                self.roll_segment()?;
-                pending = frame;
-            }
-        }
-        if !pending.is_empty() {
-            self.write_chunk(&pending)?;
-        }
-        match self.durability {
-            DurabilityMode::PerBatch => {
-                let file = self.appender()?;
-                file.sync_all()
-                    .map_err(|e| RepoError::persist_io("fsync binary log", e))?;
-                self.fsync_stats.sync_all += 1;
-                self.synced_len = Some(self.segment_len);
-            }
-            DurabilityMode::GroupCommit => self.dirty = true,
-        }
-        Ok(())
-    }
-
-    /// Crash-safe compaction, same commit protocol as the JSONL backend:
-    /// the new manifest names a fresh (empty) generation, its atomic
-    /// rename is the single commit point, and the superseded generation's
-    /// segments are removed opportunistically afterwards.
-    fn checkpoint(&mut self, snapshot: &RepositorySnapshot) -> Result<(), RepoError> {
-        let old_generation = self.generation.clone();
-        let n: u64 = old_generation
-            .strip_prefix("events-")
-            .and_then(|s| s.strip_suffix(BIN_SUFFIX))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let new_generation = format!("events-{}{}", n + 1, BIN_SUFFIX);
-        let manifest = Manifest {
-            log: new_generation.clone(),
-            state: snapshot.clone(),
-        };
-        crate::storage::write_manifest_in(&self.dir, &manifest)?;
-        // Past the commit point: reset the writer onto the fresh
-        // generation and sweep the superseded segments.
-        self.generation = new_generation;
-        self.segment_index = 0;
-        self.segment_len = 0;
-        self.appender = None;
-        self.dirty = false;
-        self.synced_len = None;
-        for name in segment_files(&self.dir, &old_generation).unwrap_or_default() {
-            std::fs::remove_file(self.dir.join(name)).ok();
-        }
-        Ok(())
-    }
-
-    fn restore(&self) -> Result<RepositorySnapshot, RepoError> {
-        self.restore_with_pending().map(|(state, _)| state)
-    }
-
-    /// One fsync covering every batch staged since the last call.
-    /// Mid-window segment rolls already fsynced the sealed segments, so
-    /// only the live segment needs syncing —
-    /// `sync_data` when its length is unchanged since the last fsync,
-    /// `sync_all` otherwise, mirroring the JSONL backend's split.
-    fn flush_durable(&mut self) -> Result<(), RepoError> {
-        if !self.dirty {
-            return Ok(());
-        }
-        let last_synced = self.synced_len;
-        let len = self.segment_len;
-        let data_only = last_synced == Some(len);
-        {
-            let file = self.appender()?;
-            if data_only {
-                file.sync_data()
-                    .map_err(|e| RepoError::persist_io("fdatasync binary log", e))?;
-            } else {
-                file.sync_all()
-                    .map_err(|e| RepoError::persist_io("fsync binary log", e))?;
-            }
-        }
-        if data_only {
-            self.fsync_stats.sync_data += 1;
-        } else {
-            self.fsync_stats.sync_all += 1;
-            self.synced_len = Some(len);
-        }
-        self.dirty = false;
-        Ok(())
-    }
-
-    fn set_durability(&mut self, mode: DurabilityMode) {
-        self.durability = mode;
-    }
-
-    fn tail_repaired(&self) -> Option<TailRepaired> {
-        self.tail_repaired.clone()
+        Self::open_segmented(dir.into(), segment_bytes)
     }
 }
 
@@ -1255,6 +764,7 @@ mod tests {
     use super::*;
     use crate::principal::Principal;
     use crate::repo::Repository;
+    use crate::storage::{generation_len, read_tail, DurabilityMode, FsyncStats};
     use crate::template::ExampleType;
     use crate::test_support::unique_dir;
 
@@ -1510,6 +1020,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every file of `dir` with its bytes, sorted by name.
+    fn contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn open_refuses_a_jsonl_directory() {
         let dir = unique_dir("binlog-cross");
@@ -1520,6 +1044,27 @@ mod tests {
         let err = BinaryLogBackend::open(&dir).unwrap_err();
         assert!(matches!(err, RepoError::Persist(_)));
         std::fs::remove_dir_all(&dir).ok();
+
+        // Without a manifest too: read as an empty binary log, the JSONL
+        // events would vanish from every reader, and the first
+        // compaction's prune would delete them.
+        let bare = unique_dir("binlog-cross-bare");
+        let mut jsonl = EventLogBackend::open(&bare).unwrap();
+        jsonl.record(&busy_repository().drain_events()).unwrap();
+        let before = contents(&bare);
+        let err = BinaryLogBackend::open(&bare).unwrap_err();
+        assert!(matches!(err, RepoError::Persist(_)), "got {err:?}");
+        let policy = crate::storage::CompactionPolicy {
+            checkpoint_every: 1,
+        };
+        let compacting = crate::storage::AutoCompactingBinaryLog::open_with(&bare, policy);
+        assert!(matches!(compacting, Err(RepoError::Persist(_))));
+        assert_eq!(
+            contents(&bare),
+            before,
+            "a refused open leaves the directory untouched"
+        );
+        std::fs::remove_dir_all(&bare).ok();
     }
 
     #[test]

@@ -42,7 +42,8 @@
 //!   §5.2;
 //! * [`persist`] — the wiki-markup-independent persistent form (JSON);
 //! * [`storage`] — pluggable persistence behind [`storage::StorageBackend`]:
-//!   in-memory, legacy JSON file, and an append-only event log with
+//!   in-memory, legacy JSON file, and one append-only generation log
+//!   backend over two on-disk formats (JSONL, binary) with
 //!   snapshot+replay recovery;
 //! * [`supervise`] — per-source fault supervision for the federation:
 //!   circuit-breaker health states, deterministic retry/backoff, and
@@ -85,8 +86,8 @@ pub use runtime::{
 };
 pub use storage::{
     AutoCompactingBinaryLog, AutoCompactingEventLog, CompactionPolicy, DurabilityMode,
-    EventLogBackend, FsyncStats, GenerationLog, JsonFileBackend, MemoryBackend, StorageBackend,
-    TailRepaired,
+    EventLogBackend, FsyncStats, JsonFileBackend, LogBackend, LogFormat, MemoryBackend,
+    StorageBackend, TailRepaired,
 };
 pub use supervise::{RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus};
 pub use template::{

@@ -79,7 +79,7 @@ use crate::index::SearchIndex;
 use crate::principal::Principal;
 use crate::repo::{EntryId, EntryRecord, RepositorySnapshot};
 use crate::runtime::{HealthReport, Runtime, RuntimeHealth, TimerTask};
-use crate::storage::EventLogBackend;
+use crate::storage::{generation_len, read_tail, EventLogBackend};
 use crate::supervise::{
     RecoveryPolicy, RetryPolicy, SalvageReport, SourceHealth, SourceStatus, SourceSupervisor,
 };
@@ -167,17 +167,12 @@ impl LogTail {
     /// Bytes sitting in the current generation log beyond what has been
     /// applied — the replication lag in bytes (0 when fully caught up or
     /// the log is absent). A torn trailing fragment counts as lag until
-    /// the writer's next durable append resolves it. For a binary
-    /// generation the log spans segment files, so the length is the sum
-    /// of segment sizes — still metadata-only.
+    /// the writer's next durable append resolves it. The length is the
+    /// sum of the generation's file sizes ([`generation_len`]), so this
+    /// is metadata-only in either format.
     pub fn lag_bytes(&self) -> u64 {
-        if crate::binlog::is_binary_generation(&self.generation) {
-            return crate::binlog::generation_len(&self.dir, &self.generation)
-                .map(|len| len.saturating_sub(self.offset))
-                .unwrap_or(0);
-        }
-        std::fs::metadata(self.dir.join(&self.generation))
-            .map(|m| m.len().saturating_sub(self.offset))
+        generation_len(&self.dir, &self.generation)
+            .map(|len| len.saturating_sub(self.offset))
             .unwrap_or(0)
     }
 
@@ -197,67 +192,6 @@ impl LogTail {
     fn stat_manifest(dir: &Path) -> Option<(std::time::SystemTime, u64)> {
         let meta = std::fs::metadata(dir.join("checkpoint.json")).ok()?;
         Some((meta.modified().ok()?, meta.len()))
-    }
-
-    /// The intact events at or after byte `offset` in `path`, plus the
-    /// offset just past the last complete line consumed (a torn trailing
-    /// fragment stays unconsumed for a later call). `offset` always sits
-    /// on a line boundary because it only ever advances past complete
-    /// lines. `Ok(None)` means the file shrank below `offset` (foreign
-    /// truncation) and the caller must re-base.
-    fn read_tail(path: &Path, offset: u64) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let io = |e: std::io::Error| RepoError::Persist(e.to_string());
-        let mut file = match std::fs::File::open(path) {
-            Ok(file) => file,
-            // Absent file: an unwritten generation (fine at offset 0) or
-            // a truncation (if we had already read past 0).
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((offset == 0).then(|| (Vec::new(), 0)));
-            }
-            Err(e) => return Err(io(e)),
-        };
-        if file.metadata().map_err(io)?.len() < offset {
-            return Ok(None);
-        }
-        file.seek(SeekFrom::Start(offset)).map_err(io)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text).map_err(io)?;
-        let intact_end = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        let segment = crate::storage::segment_name(path);
-        let mut events = Vec::new();
-        let mut pos = 0usize;
-        for line in text[..intact_end].split_inclusive('\n') {
-            let at = pos;
-            pos += line.len();
-            let body = line.trim_end_matches(['\n', '\r']);
-            if body.trim().is_empty() {
-                continue;
-            }
-            events.push(serde_json::from_str::<RepoEvent>(body).map_err(|e| {
-                // Offset within the *file*, not the tail read: exactly
-                // where a SalvagePrefix recovery truncates.
-                crate::storage::corrupt_jsonl_line(&segment, offset + at as u64, &e)
-            })?);
-        }
-        Ok(Some((events, offset + intact_end as u64)))
-    }
-
-    /// [`Self::read_tail`] dispatched on the generation's on-disk format:
-    /// JSONL tails one line-oriented file, binary tails the generation's
-    /// segment run by global byte offset ([`crate::binlog::read_tail`]).
-    /// Both share the contract — events at/after `offset` plus the new
-    /// offset, `Ok(None)` on a shrink that demands a re-base, and an
-    /// unchanged log costing only metadata stats.
-    fn read_generation_tail(
-        &self,
-        offset: u64,
-    ) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
-        if crate::binlog::is_binary_generation(&self.generation) {
-            crate::binlog::read_tail(&self.dir, &self.generation, offset)
-        } else {
-            Self::read_tail(&self.dir.join(&self.generation), offset)
-        }
     }
 
     /// Observe the log's current durable end. Within a generation this
@@ -308,7 +242,7 @@ impl LogTail {
                 progress.new_base = Some(base);
             }
         }
-        match self.read_generation_tail(self.offset)? {
+        match read_tail(&self.dir, &self.generation, self.offset)? {
             Some((events, new_offset)) => {
                 self.applied += events.len();
                 self.offset = new_offset;
@@ -319,7 +253,8 @@ impl LogTail {
                 // beyond torn-tail repair). Rolling individual events
                 // back is not possible; re-base onto what the directory
                 // actually holds.
-                let (all, end) = self.read_generation_tail(0)?.unwrap_or((Vec::new(), 0));
+                let (all, end) =
+                    read_tail(&self.dir, &self.generation, 0)?.unwrap_or((Vec::new(), 0));
                 let (base, _) = EventLogBackend::read_state_in(&self.dir)?;
                 self.applied = all.len();
                 self.offset = end;

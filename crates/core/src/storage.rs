@@ -1,4 +1,4 @@
-//! Pluggable persistence: the [`StorageBackend`] trait and its three
+//! Pluggable persistence: the [`StorageBackend`] trait and its
 //! implementations.
 //!
 //! * [`MemoryBackend`] — snapshot + event log held in memory; the unit-test
@@ -7,12 +7,16 @@
 //!   format [`crate::persist`] has always written (archives stay
 //!   readable). Recording deltas rewrites the whole file, so its cost
 //!   scales with repository size — it is the compatibility backend.
-//! * [`EventLogBackend`] — an append-only generation log of [`RepoEvent`]
-//!   lines next to an optional checkpoint manifest; recording a delta
-//!   batch is O(batch), and recovery is checkpoint + replay. This is the
-//!   scaling backend.
+//! * [`LogBackend`] — an append-only generation log of [`RepoEvent`]s
+//!   next to an optional checkpoint manifest; recording a delta batch is
+//!   O(batch), and recovery is checkpoint + replay. This is the scaling
+//!   backend. It is one backend over two on-disk [`LogFormat`]s:
+//!   [`Jsonl`] lines ([`EventLogBackend`]) and [`Binary`] frames
+//!   ([`crate::binlog::BinaryLogBackend`]). Both share the manifest, the
+//!   writer and one reader, [`read_tail`], which serves restore, replica
+//!   tailing and lag alike.
 //!
-//! All three observe the same contract, checked in
+//! All of them observe the same contract, checked in
 //! `tests/storage_backends.rs` and property-tested in
 //! `tests/delta_equivalence.rs`: after `record`ing a repository's drained
 //! events (or `checkpoint`ing its snapshot), `restore` returns exactly
@@ -34,11 +38,13 @@
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::binlog::{is_binary_generation, Binary};
 use crate::error::RepoError;
 use crate::event::{apply_event, replay, RepoEvent};
 use crate::persist;
@@ -124,23 +130,12 @@ fn io_err(e: std::io::Error) -> RepoError {
 /// [`RepoError::CorruptFrame`] whose offset is the line's first byte —
 /// the boundary a `SalvagePrefix` recovery truncates at. `segment` is
 /// the log file's relative name, mirroring the binary log's frames.
-pub(crate) fn corrupt_jsonl_line(
-    segment: &str,
-    offset: u64,
-    err: &dyn std::fmt::Display,
-) -> RepoError {
+fn corrupt_jsonl_line(segment: &str, offset: u64, err: &dyn std::fmt::Display) -> RepoError {
     RepoError::CorruptFrame {
         segment: segment.to_string(),
         offset,
         reason: format!("corrupt event log line: {err}"),
     }
-}
-
-/// A path's file name for corruption reports (lossy; logs are ASCII).
-pub(crate) fn segment_name(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string())
 }
 
 /// Boxed backends forward the contract, so heterogeneous backend
@@ -277,16 +272,16 @@ impl StorageBackend for JsonFileBackend {
     }
 }
 
-/// How an [`EventLogBackend`]'s fsyncs split between the full
-/// [`File::sync_all`] (data + all metadata, required whenever the segment
+/// How a [`LogBackend`]'s fsyncs split between the full
+/// [`File::sync_all`] (data + all metadata, required whenever the file
 /// grew since the last sync so the new length reaches disk) and the
 /// cheaper [`File::sync_data`] (data + only the metadata needed to read
-/// it back, sufficient when the segment length is unchanged).
+/// it back, sufficient when the file length is unchanged).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FsyncStats {
-    /// Full syncs: the segment length changed since the last fsync.
+    /// Full syncs: the file length changed since the last fsync.
     pub sync_all: u64,
-    /// Data-only syncs: the segment length was unchanged.
+    /// Data-only syncs: the file length was unchanged.
     pub sync_data: u64,
 }
 
@@ -297,13 +292,13 @@ impl FsyncStats {
     }
 }
 
-/// The checkpoint manifest an [`EventLogBackend`] persists: the base
-/// state plus the name of the generation log file its deltas live in.
-/// Keeping both in one file makes the manifest rename the single atomic
-/// commit point of a checkpoint.
+/// The checkpoint manifest a [`LogBackend`] persists: the base state
+/// plus the name of the generation log its deltas live in. Keeping both
+/// in one file makes the manifest rename the single atomic commit point
+/// of a checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Manifest {
-    /// Log file (relative to the backend directory) this base replays.
+    /// Log generation (relative to the backend directory) this base replays.
     pub(crate) log: String,
     /// The checkpointed base state.
     pub(crate) state: RepositorySnapshot,
@@ -351,10 +346,10 @@ pub(crate) fn manifest_json(manifest: &Manifest) -> Result<String, RepoError> {
 }
 
 /// Write `manifest` to `dir/checkpoint.json` with the atomic
-/// write-fsync-rename protocol both log backends share: the rename is
-/// the single commit point of a checkpoint, so a crash at any step
-/// leaves either the old manifest or the new one, never a torn mix.
-pub(crate) fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), RepoError> {
+/// write-fsync-rename protocol: the rename is the single commit point of
+/// a checkpoint, so a crash at any step leaves either the old manifest
+/// or the new one, never a torn mix.
+fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), RepoError> {
     let json = manifest_json(manifest)?;
     let tmp = dir.join("checkpoint.json.tmp");
     {
@@ -373,98 +368,492 @@ pub(crate) fn write_manifest_in(dir: &Path, manifest: &Manifest) -> Result<(), R
     Ok(())
 }
 
-/// Append-only event-log backend: a generation log file (`events-<n>.jsonl`,
-/// one serialised [`RepoEvent`] per line) beside an optional
+/// Parse (and integrity-check) `dir/checkpoint.json`. `Ok(None)` when
+/// no checkpoint exists yet; [`RepoError::CorruptManifest`] when the
+/// manifest carries a `crc32` that does not match its body (a
+/// checksum-less manifest from an older writer is accepted as-is).
+fn read_manifest_in(dir: &Path) -> Result<Option<Manifest>, RepoError> {
+    let path = dir.join("checkpoint.json");
+    if !path.exists() {
+        return Ok(None);
+    }
+    let mut json = std::fs::read_to_string(path).map_err(io_err)?;
+    let disk: ManifestDisk = serde_json::from_str(&json)
+        .map_err(|e| RepoError::Persist(format!("corrupt checkpoint manifest: {e}")))?;
+    MANIFESTS_PARSED.with(|c| c.set(c.get() + 1));
+    if let Some(stored) = disk.crc32 {
+        // `manifest_json` spliced the checksum in as the body's last
+        // key, so the body is the text before that key plus `}`.
+        if let Some(at) = json.rfind(",\"crc32\":") {
+            json.truncate(at);
+            json.push('}');
+        }
+        let computed = crate::binlog::crc32(json.as_bytes());
+        if computed != stored {
+            return Err(RepoError::CorruptManifest {
+                dir: dir.display().to_string(),
+                stored,
+                computed,
+            });
+        }
+    }
+    Ok(Some(Manifest {
+        log: disk.log,
+        state: disk.state,
+    }))
+}
+
+/// One on-disk encoding of a generation log: [`Jsonl`] lines or
+/// [`Binary`] frames. Everything else about a log — open, append, roll,
+/// torn-tail repair, checkpoint and restore in [`LogBackend`], tailing
+/// in [`read_tail`] — is written once over this trait.
+///
+/// A *generation* is the logical log a checkpoint manifest names
+/// (`events-<n>` plus [`LogFormat::SUFFIX`]); on disk it is a run of
+/// files of which only the last is ever appended to.
+pub trait LogFormat: std::fmt::Debug {
+    /// Generation names of this format end in this suffix.
+    const SUFFIX: &'static str;
+    /// The [`StorageBackend::kind`] of a [`LogBackend`] in this format.
+    const KIND: &'static str;
+    /// The [`StorageBackend::kind`] of an [`AutoCompactingEventLog`] in
+    /// this format.
+    const COMPACTED_KIND: &'static str;
+    /// Default cap on one file's length before the writer rolls to the
+    /// next (records never span files). `u64::MAX` for a format whose
+    /// generation is a single file.
+    const SEGMENT_BYTES: u64;
+
+    /// The files of `generation` in `dir`, in log order. Empty when the
+    /// generation has never been written — or `dir` does not exist.
+    fn files(dir: &Path, generation: &str) -> Result<Vec<String>, RepoError>;
+
+    /// The name of file `index` of `generation`.
+    fn file_name(generation: &str, index: u32) -> String;
+
+    /// Append the encoded record of `event` to `out`.
+    fn encode(event: &RepoEvent, out: &mut Vec<u8>) -> Result<(), RepoError>;
+
+    /// Decode the complete records at the start of `buf`, which holds
+    /// the bytes of `file` from file offset `at`. Returns the events and
+    /// the bytes they span; a span shorter than `buf` means `buf` ends
+    /// in an incomplete record. A record that fails its integrity check
+    /// is [`RepoError::CorruptFrame`] at the record's file offset.
+    fn decode(buf: &[u8], file: &str, at: u64) -> Result<(Vec<RepoEvent>, usize), RepoError>;
+
+    /// Walk the record boundaries of `buf` without decoding a payload:
+    /// `(records, end, torn)` — the complete records, the offset just
+    /// past the last of them, and whether an incomplete record follows.
+    /// A walk stopped by a damaged boundary reports `torn == false`: that
+    /// is corruption, left for [`LogFormat::decode`] to report.
+    fn scan(buf: &[u8]) -> (usize, usize, bool);
+}
+
+/// The JSONL format: one compact JSON [`RepoEvent`] per `\n`-terminated
+/// line, in the single file `events-<n>.jsonl`. Human-readable and
+/// parse-bound on replay. A final line without its `\n` is a torn
+/// append, whether or not its text happens to parse.
+#[derive(Debug)]
+pub struct Jsonl;
+
+impl LogFormat for Jsonl {
+    const SUFFIX: &'static str = ".jsonl";
+    const KIND: &'static str = "event-log";
+    const COMPACTED_KIND: &'static str = "event-log+auto-compact";
+    const SEGMENT_BYTES: u64 = u64::MAX;
+
+    fn files(dir: &Path, generation: &str) -> Result<Vec<String>, RepoError> {
+        Ok(if dir.join(generation).exists() {
+            vec![generation.to_string()]
+        } else {
+            Vec::new()
+        })
+    }
+
+    fn file_name(generation: &str, _index: u32) -> String {
+        generation.to_string()
+    }
+
+    fn encode(event: &RepoEvent, out: &mut Vec<u8>) -> Result<(), RepoError> {
+        // Compact JSON keeps each event on one line (newlines inside
+        // strings are escaped by the serialiser).
+        let line = serde_json::to_string(event)
+            .map_err(|e| RepoError::Persist(format!("cannot serialise event: {e}")))?;
+        out.extend_from_slice(line.as_bytes());
+        out.push(b'\n');
+        Ok(())
+    }
+
+    fn decode(buf: &[u8], file: &str, at: u64) -> Result<(Vec<RepoEvent>, usize), RepoError> {
+        let end = line_end(buf);
+        // A byte that is not UTF-8 corrupts the line holding it; the
+        // lines before that one still decode.
+        let (text, bad_byte) = match std::str::from_utf8(&buf[..end]) {
+            Ok(text) => (text, None),
+            Err(e) => {
+                let line = line_end(&buf[..e.valid_up_to()]);
+                let text = std::str::from_utf8(&buf[..line]).expect("valid up to this line");
+                (text, Some(e.valid_up_to()))
+            }
+        };
+        let mut events = Vec::new();
+        let mut pos = 0usize;
+        for line in text.split_inclusive('\n') {
+            let start = pos;
+            pos += line.len();
+            let body = line.trim_end_matches(['\n', '\r']);
+            if body.trim().is_empty() {
+                continue;
+            }
+            events.push(
+                serde_json::from_str::<RepoEvent>(body)
+                    .map_err(|e| corrupt_jsonl_line(file, at + start as u64, &e))?,
+            );
+        }
+        match bad_byte {
+            Some(byte) => Err(corrupt_jsonl_line(
+                file,
+                at + pos as u64,
+                &format!("invalid UTF-8 at byte {}", at + byte as u64),
+            )),
+            None => Ok((events, end)),
+        }
+    }
+
+    fn scan(buf: &[u8]) -> (usize, usize, bool) {
+        let end = line_end(buf);
+        let records = buf[..end]
+            .split(|&b| b == b'\n')
+            .filter(|line| line.iter().any(|c| !c.is_ascii_whitespace()))
+            .count();
+        (records, end, end < buf.len())
+    }
+}
+
+/// The offset just past the last `\n` in `buf` (0 when there is none):
+/// where the complete lines end.
+fn line_end(buf: &[u8]) -> usize {
+    buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
+}
+
+/// The generation a log file belongs to: a JSONL log is its own
+/// generation, binary segment `events-<n>.bin.NNNNNN` belongs to
+/// `events-<n>.bin`. `None` for a file that is not a log.
+fn generation_of(name: &str) -> Option<&str> {
+    if !name.starts_with("events-") {
+        return None;
+    }
+    if name.ends_with(Jsonl::SUFFIX) {
+        return Some(name);
+    }
+    let (generation, index) = name.rsplit_once('.')?;
+    (is_binary_generation(generation)
+        && index.len() == 6
+        && index.bytes().all(|b| b.is_ascii_digit()))
+    .then_some(generation)
+}
+
+/// Every log file in `dir` whose generation passes `keep`, sorted (the
+/// zero-padded segment indices make lexical order log order). Empty when
+/// `dir` does not exist.
+pub(crate) fn log_files(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<String>, RepoError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(io_err(e)),
+    };
+    let mut files = Vec::new();
+    for entry in entries {
+        let name = entry
+            .map_err(io_err)?
+            .file_name()
+            .to_string_lossy()
+            .into_owned();
+        if generation_of(&name).is_some_and(&keep) {
+            files.push(name);
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+/// The generation of a directory with no checkpoint manifest: generation
+/// 0 of whichever format has written it (binary, should both have), or
+/// `None` for a directory no writer has appended to.
+fn unmanifested_generation(dir: &Path) -> Option<String> {
+    let binary = format!("events-0{}", Binary::SUFFIX);
+    if !log_files(dir, |g| g == binary)
+        .unwrap_or_default()
+        .is_empty()
+    {
+        return Some(binary);
+    }
+    let jsonl = format!("events-0{}", Jsonl::SUFFIX);
+    dir.join(&jsonl).exists().then_some(jsonl)
+}
+
+/// A file's length, `None` when it no longer exists.
+fn file_len(path: &Path) -> Result<Option<u64>, RepoError> {
+    match std::fs::metadata(path) {
+        Ok(meta) => Ok(Some(meta.len())),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err(e)),
+    }
+}
+
+/// The events of `generation` in `dir` from global byte `offset` — the
+/// sum of the earlier files' lengths plus the position in the file that
+/// holds it, always a record boundary an earlier call returned (0 for
+/// the whole generation). This is the one reader of generation bytes,
+/// for either format (dispatched on the generation name): cold restore
+/// and replica tailing both go through it, and [`generation_len`]
+/// measures lag against the offsets it returns.
+///
+/// Returns `Ok(None)` when the generation is shorter than `offset` — it
+/// was checkpoint-rolled or truncated under the reader, which must
+/// re-base — and otherwise the events plus the offset just past the
+/// last complete record. Only the bytes past `offset` are read, so an
+/// unchanged log costs metadata stats alone. An incomplete record at
+/// the end of the last file is a torn tail and stays unconsumed for a
+/// later call; inside an earlier, sealed file it is
+/// [`RepoError::CorruptFrame`], as is every record that fails its
+/// format's integrity check.
+pub fn read_tail(
+    dir: &Path,
+    generation: &str,
+    offset: u64,
+) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
+    if is_binary_generation(generation) {
+        tail::<Binary>(dir, generation, offset)
+    } else {
+        tail::<Jsonl>(dir, generation, offset)
+    }
+}
+
+fn tail<F: LogFormat>(
+    dir: &Path,
+    generation: &str,
+    offset: u64,
+) -> Result<Option<(Vec<RepoEvent>, u64)>, RepoError> {
+    let mut files = Vec::new();
+    for name in F::files(dir, generation)? {
+        // A file gone between the listing and the stat was pruned by a
+        // checkpoint: the caller re-bases.
+        let Some(len) = file_len(&dir.join(&name))? else {
+            return Ok(None);
+        };
+        files.push((name, len));
+    }
+    if files.iter().map(|(_, len)| len).sum::<u64>() < offset {
+        return Ok(None);
+    }
+    let mut events = Vec::new();
+    let mut consumed = offset;
+    let mut base = 0u64;
+    for (i, (name, len)) in files.iter().enumerate() {
+        if base + len <= offset {
+            // Entirely before the tail: earlier files are sealed, so the
+            // statted length is final.
+            base += len;
+            continue;
+        }
+        let start = offset.saturating_sub(base);
+        let Some(buf) = read_from(&dir.join(name), start)? else {
+            return Ok(None);
+        };
+        let (decoded, used) = F::decode(&buf, name, start)?;
+        // Move rather than append the common one-file case: appending
+        // into an empty vector would copy every event.
+        if events.is_empty() {
+            events = decoded;
+        } else {
+            events.extend(decoded);
+        }
+        consumed = base + start + used as u64;
+        if used < buf.len() {
+            if i + 1 < files.len() {
+                return Err(RepoError::CorruptFrame {
+                    segment: name.clone(),
+                    offset: start + used as u64,
+                    reason: "incomplete record inside a sealed segment".to_string(),
+                });
+            }
+            // Torn tail: the bytes stay unconsumed for the next call (by
+            // then the writer may have completed the record).
+            break;
+        }
+        base += start + buf.len() as u64;
+    }
+    Ok(Some((events, consumed)))
+}
+
+/// The bytes of `path` from `start` on; `None` when the file is gone or
+/// shorter than `start`.
+fn read_from(path: &Path, start: u64) -> Result<Option<Vec<u8>>, RepoError> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err(e)),
+    };
+    if file.metadata().map_err(io_err)?.len() < start {
+        return Ok(None);
+    }
+    file.seek(SeekFrom::Start(start)).map_err(io_err)?;
+    let mut buf = Vec::new();
+    file.read_to_end(&mut buf).map_err(io_err)?;
+    Ok(Some(buf))
+}
+
+/// Total on-disk length of a generation, the sum of its file lengths —
+/// the offset a fully caught-up [`read_tail`] sits at, so lag is
+/// measured by metadata alone.
+pub fn generation_len(dir: &Path, generation: &str) -> Result<u64, RepoError> {
+    let files = if is_binary_generation(generation) {
+        Binary::files(dir, generation)?
+    } else {
+        Jsonl::files(dir, generation)?
+    };
+    let mut total = 0;
+    for name in files {
+        total += file_len(&dir.join(name))?.unwrap_or(0);
+    }
+    Ok(total)
+}
+
+/// The append-only generation log backend, in either on-disk
+/// [`LogFormat`]: [`EventLogBackend`] writes JSONL lines,
+/// [`crate::binlog::BinaryLogBackend`] binary frames. The generation's files sit beside an optional
 /// `checkpoint.json` manifest. Recording appends through a persistent
-/// appender handle (opened once per generation, not per call);
-/// checkpointing writes a new manifest pointing at a fresh empty log
-/// generation (one atomic rename of the fsynced manifest is the commit
-/// point, so a crash at any step leaves a state `restore` recovers
-/// exactly); recovery is snapshot + replay, tolerating a torn final line
-/// from an append cut short mid-write.
+/// appender (opened once per file, not per call), rolling to a new file
+/// when the format's segment cap would be exceeded; checkpointing writes
+/// a new manifest naming a fresh empty generation (one atomic rename of
+/// the fsynced manifest is the commit point, so a crash at any step
+/// leaves a state `restore` recovers exactly); recovery is snapshot +
+/// replay through [`read_tail`], which drops a torn final record from an
+/// append cut short mid-write.
 ///
 /// Durability is two-phase (see the module docs): in the default
 /// [`DurabilityMode::PerBatch`], `record` fsyncs before returning; in
 /// [`DurabilityMode::GroupCommit`] it only stages, and
-/// [`StorageBackend::flush_durable`] issues the one `sync_all` covering
-/// every staged batch.
+/// [`StorageBackend::flush_durable`] issues the one fsync covering every
+/// staged batch.
 ///
-/// The backend assumes a single writer per directory (the current log
+/// The backend assumes a single writer per directory (the current
 /// generation is cached at `open` and only advanced by this instance's
 /// own `checkpoint`); concurrent readers are fine.
 #[derive(Debug)]
-pub struct EventLogBackend {
+pub struct LogBackend<F: LogFormat> {
     dir: PathBuf,
-    /// Current generation's log file name, relative to `dir`.
-    log: String,
+    /// Current generation's name, relative to `dir` (what the manifest
+    /// records).
+    generation: String,
+    /// Index of the file being appended to (always 0 for JSONL).
+    file_index: u32,
+    /// Byte length of that file, tracked to decide rolls and the fsync
+    /// split without a stat per batch; re-read whenever the appender
+    /// opens.
+    file_len: u64,
+    /// Roll to a new file once the current one would exceed this.
+    segment_bytes: u64,
     durability: DurabilityMode,
-    /// The persistent appender for the current generation, opened lazily
-    /// on first `record` and dropped when `checkpoint` rolls the
-    /// generation.
+    /// The persistent appender, opened lazily on first `record` and
+    /// dropped when a roll or a checkpoint moves to a new file.
     appender: Option<File>,
     /// Bytes staged (written but not fsynced) since the last
     /// `flush_durable` — only ever true in [`DurabilityMode::GroupCommit`].
     dirty: bool,
-    /// Segment length at the last fsync of the current generation, if one
-    /// has happened — the length whose durability the next fsync may rely
-    /// on to downgrade `sync_all` to `sync_data`.
+    /// The file's length at its last fsync, if one has happened — the
+    /// length whose durability the next fsync may rely on to downgrade
+    /// `sync_all` to `sync_data`.
     synced_len: Option<u64>,
     /// How this instance's fsyncs split between full and data-only syncs.
     fsync_stats: FsyncStats,
     /// The torn-tail truncation `open` performed, if any.
     tail_repaired: Option<TailRepaired>,
+    format: PhantomData<F>,
 }
+
+/// The JSONL generation log (see [`LogBackend`]).
+pub type EventLogBackend = LogBackend<Jsonl>;
 
 /// A clone is a fresh writer over the same directory and generation: it
 /// opens its own appender on first use and owes no fsync for bytes the
 /// original staged (those remain the original's to flush). It performed
 /// no open-time repair, so it carries no `tail_repaired` note.
-impl Clone for EventLogBackend {
-    fn clone(&self) -> EventLogBackend {
-        EventLogBackend {
+impl<F: LogFormat> Clone for LogBackend<F> {
+    fn clone(&self) -> LogBackend<F> {
+        LogBackend {
             dir: self.dir.clone(),
-            log: self.log.clone(),
+            generation: self.generation.clone(),
+            file_index: self.file_index,
+            file_len: self.file_len,
+            segment_bytes: self.segment_bytes,
             durability: self.durability,
             appender: None,
             dirty: false,
             synced_len: None,
             fsync_stats: FsyncStats::default(),
             tail_repaired: None,
+            format: PhantomData,
         }
     }
 }
 
-impl EventLogBackend {
-    /// Open (creating the directory if needed) an event log under `dir`.
+impl<F: LogFormat> LogBackend<F> {
+    /// Open (creating the directory if needed) a log of this format
+    /// under `dir`. A directory whose log is in the other format is
+    /// refused, untouched — with or without a checkpoint manifest.
     ///
-    /// Opening also *repairs* a torn final append in the current
-    /// generation: a process killed mid-`write` leaves a partial last
-    /// line, and a fresh writer appending after it would concatenate the
-    /// next event into the fragment and corrupt the log. The fragment was
-    /// never durable (reads have always dropped it), so truncating it at
-    /// open loses nothing.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<EventLogBackend, RepoError> {
-        let dir = dir.into();
+    /// Opening also *repairs* a torn final record: a process killed
+    /// mid-`write` leaves a partial record at the end of the last file,
+    /// and a fresh writer appending after it would fuse the next record
+    /// into the fragment and corrupt the log. The fragment was never
+    /// durable (reads have always dropped it), so truncating it at open
+    /// loses nothing; the repair is reported by
+    /// [`StorageBackend::tail_repaired`]. Corrupt records are left in
+    /// place for `restore` to report.
+    pub fn open(dir: impl Into<PathBuf>) -> Result<LogBackend<F>, RepoError> {
+        Self::open_segmented(dir.into(), F::SEGMENT_BYTES)
+    }
+
+    pub(crate) fn open_segmented(
+        dir: PathBuf,
+        segment_bytes: u64,
+    ) -> Result<LogBackend<F>, RepoError> {
         std::fs::create_dir_all(&dir).map_err(io_err)?;
-        let log = match Self::read_manifest_in(&dir)? {
+        let generation = match read_manifest_in(&dir)? {
             Some(manifest) => manifest.log,
-            None => crate::binlog::unmanifested_generation(&dir),
+            None => {
+                unmanifested_generation(&dir).unwrap_or_else(|| format!("events-0{}", F::SUFFIX))
+            }
         };
-        if crate::binlog::is_binary_generation(&log) {
+        if !generation.ends_with(F::SUFFIX) {
             return Err(RepoError::Persist(format!(
-                "directory holds a binary event log (generation `{log}`); \
-                 open it with BinaryLogBackend or convert it with bx_logconv"
+                "directory `{}` holds an event log in another format (generation \
+                 `{generation}`); open it with that format's backend or convert it \
+                 with bx_logconv",
+                dir.display()
             )));
         }
-        let mut backend = EventLogBackend {
+        // Continue appending at the last file (JSONL names carry no index).
+        let file_index = F::files(&dir, &generation)?
+            .last()
+            .and_then(|name| name.rsplit('.').next()?.parse().ok())
+            .unwrap_or(0);
+        let mut backend = LogBackend {
             dir,
-            log,
+            generation,
+            file_index,
+            file_len: 0,
+            segment_bytes: segment_bytes.max(1),
             durability: DurabilityMode::default(),
             appender: None,
             dirty: false,
             synced_len: None,
             fsync_stats: FsyncStats::default(),
             tail_repaired: None,
+            format: PhantomData,
         };
         backend.tail_repaired = backend.repair_torn_tail()?;
         Ok(backend)
@@ -481,371 +870,281 @@ impl EventLogBackend {
         self.fsync_stats
     }
 
-    /// The persistent appender for the current generation, opened on
-    /// first use. `checkpoint` drops it when the generation rolls, so a
-    /// stale handle can never append to a superseded log.
+    /// The current generation's name (what the manifest records).
+    pub fn current_generation(&self) -> &str {
+        &self.generation
+    }
+
+    /// Every log file of this format in the directory, sorted: the
+    /// current generation's, plus any superseded generation a crash in
+    /// the checkpoint window stranded. A healthy, compacted JSONL
+    /// directory holds at most one.
+    pub fn generation_files(&self) -> Result<Vec<String>, RepoError> {
+        log_files(&self.dir, |generation| generation.ends_with(F::SUFFIX))
+    }
+
+    /// Remove every log file, of either format, that is not part of the
+    /// current generation. `checkpoint` already unlinks the generation
+    /// it supersedes; this sweeps up strays left by crashes in the
+    /// checkpoint window (and the source log of a converted directory).
+    /// Returns how many files were removed.
+    pub fn prune_stale_generations(&self) -> Result<usize, RepoError> {
+        let stale = log_files(&self.dir, |generation| generation != self.generation)?;
+        for name in &stale {
+            std::fs::remove_file(self.dir.join(name)).map_err(io_err)?;
+        }
+        Ok(stale.len())
+    }
+
+    /// How many deltas sit in the log beyond the last checkpoint, by a
+    /// boundary walk that decodes no payload (the count is wanted on
+    /// open and monitoring paths). A torn final record is not counted,
+    /// exactly as a restore drops it; a corrupt record surfaces at
+    /// `restore` instead.
+    pub fn pending_events(&self) -> Result<usize, RepoError> {
+        let mut count = 0;
+        for name in F::files(&self.dir, &self.generation)? {
+            count += F::scan(&std::fs::read(self.dir.join(name)).map_err(io_err)?).0;
+        }
+        Ok(count)
+    }
+
+    /// Truncate a torn final record off the generation's last file, if
+    /// there is one, returning a note of what was dropped.
+    fn repair_torn_tail(&self) -> Result<Option<TailRepaired>, RepoError> {
+        let Some(last) = F::files(&self.dir, &self.generation)?.pop() else {
+            return Ok(None);
+        };
+        let path = self.dir.join(&last);
+        let buf = std::fs::read(&path).map_err(io_err)?;
+        let (_, end, torn) = F::scan(&buf);
+        if !torn {
+            return Ok(None);
+        }
+        let file = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
+        file.set_len(end as u64).map_err(io_err)?;
+        file.sync_all().map_err(io_err)?;
+        Ok(Some(TailRepaired {
+            file: last,
+            bytes_dropped: (buf.len() - end) as u64,
+        }))
+    }
+
+    /// The persistent appender for the current file, opened on first
+    /// use. A roll or a checkpoint drops it, so a stale handle can never
+    /// append to a sealed file or a superseded generation.
     fn appender(&mut self) -> Result<&mut File, RepoError> {
         if self.appender.is_none() {
+            let name = F::file_name(&self.generation, self.file_index);
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(self.log_path())
+                .open(self.dir.join(name))
                 .map_err(|e| RepoError::persist_io("open event log appender", e))?;
+            self.file_len = file
+                .metadata()
+                .map_err(|e| RepoError::persist_io("stat event log", e))?
+                .len();
             self.appender = Some(file);
         }
         Ok(self.appender.as_mut().expect("appender was just opened"))
     }
 
-    /// Truncate an unterminated final line (torn append) off the current
-    /// generation's log, if there is one, returning a note of what was
-    /// dropped.
-    fn repair_torn_tail(&self) -> Result<Option<TailRepaired>, RepoError> {
-        let path = self.log_path();
-        if !path.exists() {
-            return Ok(None);
+    fn write(&mut self, bytes: &[u8]) -> Result<(), RepoError> {
+        if bytes.is_empty() {
+            return Ok(());
         }
-        let bytes = std::fs::read(&path).map_err(io_err)?;
-        if bytes.is_empty() || bytes.ends_with(b"\n") {
-            return Ok(None);
-        }
-        let keep = bytes
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let file = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
-        file.set_len(keep as u64).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
-        Ok(Some(TailRepaired {
-            file: self.log.clone(),
-            bytes_dropped: (bytes.len() - keep) as u64,
-        }))
+        self.appender()?
+            .write_all(bytes)
+            .map_err(|e| RepoError::persist_io("append event log", e))?;
+        self.file_len += bytes.len() as u64;
+        Ok(())
     }
 
-    /// The current generation's log file name (relative to the backend
-    /// directory).
-    pub fn current_generation(&self) -> &str {
-        &self.log
-    }
-
-    /// Every generation log file present in the directory, sorted. A
-    /// healthy, compacted directory holds at most one (the current
-    /// generation, which may also be absent right after a checkpoint).
-    pub fn generation_files(&self) -> Result<Vec<String>, RepoError> {
-        let mut files = Vec::new();
-        for entry in std::fs::read_dir(&self.dir).map_err(io_err)? {
-            let entry = entry.map_err(io_err)?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("events-") && name.ends_with(".jsonl") {
-                files.push(name);
-            }
+    /// Seal the current file (fsync, so its full length is durable
+    /// before anything lands in the next one) and move to its successor.
+    fn roll(&mut self) -> Result<(), RepoError> {
+        if let Some(file) = self.appender.take() {
+            file.sync_all()
+                .map_err(|e| RepoError::persist_io("fsync sealed log segment", e))?;
+            self.fsync_stats.sync_all += 1;
         }
-        files.sort();
-        Ok(files)
-    }
-
-    /// Remove superseded generation logs: every `events-*.jsonl` other
-    /// than the current generation. `checkpoint` already unlinks the one
-    /// generation it supersedes; this sweeps up strays left by crashes in
-    /// the checkpoint window. Returns how many files were removed.
-    pub fn prune_stale_generations(&self) -> Result<usize, RepoError> {
-        let mut removed = 0;
-        for name in self.generation_files()? {
-            if name != self.log {
-                std::fs::remove_file(self.dir.join(&name)).map_err(io_err)?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
-    }
-
-    /// The checkpointed base state and current generation log name of an
-    /// event-log directory, read without opening a writer (and therefore
-    /// without the open-time torn-tail repair): `(base, log)` from the
-    /// manifest, or the empty state and the initial generation when no
-    /// checkpoint exists yet (binary if generation-0 binary segments are
-    /// present, the JSONL default otherwise). This is the read-side entry
-    /// point replicas tail from; the generation name's extension tells
-    /// the caller which format to read
-    /// ([`crate::binlog::is_binary_generation`]).
-    pub fn read_state_in(dir: &Path) -> Result<(RepositorySnapshot, String), RepoError> {
-        Ok(match Self::read_manifest_in(dir)? {
-            Some(manifest) => (manifest.state, manifest.log),
-            None => (
-                RepositorySnapshot::empty(""),
-                crate::binlog::unmanifested_generation(dir),
-            ),
-        })
-    }
-
-    /// The events of one log generation in `dir`, whichever format the
-    /// generation name declares — JSONL lines or binary frames. A torn
-    /// tail is dropped in both formats; real corruption surfaces as the
-    /// typed [`RepoError::CorruptFrame`] in both, with the offset of the
-    /// first byte the reader could not trust.
-    pub fn read_generation_events(
-        dir: &Path,
-        generation: &str,
-    ) -> Result<Vec<RepoEvent>, RepoError> {
-        if crate::binlog::is_binary_generation(generation) {
-            crate::binlog::read_generation(dir, generation)
-        } else {
-            Self::read_log_file(&dir.join(generation))
-        }
-    }
-
-    /// Recover the durable state of an event-log directory purely by
-    /// reading: manifest base + replay of the intact records of the
-    /// generation it names — transparently for either on-disk format.
-    /// Unlike `EventLogBackend::open(dir)?.restore()`
-    /// this never mutates the directory (no torn-tail repair), so tests
-    /// and tooling can compute the expected fold of a directory that is
-    /// concurrently being tailed or deliberately left torn.
-    pub fn restore_dir(dir: &Path) -> Result<RepositorySnapshot, RepoError> {
-        let (base, log) = Self::read_state_in(dir)?;
-        Ok(replay(base, &Self::read_generation_events(dir, &log)?))
-    }
-
-    /// Parse (and integrity-check) `dir/checkpoint.json`. `Ok(None)` when
-    /// no checkpoint exists yet; [`RepoError::CorruptManifest`] when the
-    /// manifest carries a `crc32` that does not match its body (a
-    /// checksum-less manifest from an older writer is accepted as-is).
-    pub(crate) fn read_manifest_in(dir: &Path) -> Result<Option<Manifest>, RepoError> {
-        let path = dir.join("checkpoint.json");
-        if !path.exists() {
-            return Ok(None);
-        }
-        let mut json = std::fs::read_to_string(path).map_err(io_err)?;
-        let disk: ManifestDisk = serde_json::from_str(&json)
-            .map_err(|e| RepoError::Persist(format!("corrupt checkpoint manifest: {e}")))?;
-        MANIFESTS_PARSED.with(|c| c.set(c.get() + 1));
-        if let Some(stored) = disk.crc32 {
-            // `manifest_json` spliced the checksum in as the body's last
-            // key, so the body is the text before that key plus `}`.
-            if let Some(at) = json.rfind(",\"crc32\":") {
-                json.truncate(at);
-                json.push('}');
-            }
-            let computed = crate::binlog::crc32(json.as_bytes());
-            if computed != stored {
-                return Err(RepoError::CorruptManifest {
-                    dir: dir.display().to_string(),
-                    stored,
-                    computed,
-                });
-            }
-        }
-        Ok(Some(Manifest {
-            log: disk.log,
-            state: disk.state,
-        }))
-    }
-
-    fn log_path(&self) -> PathBuf {
-        self.dir.join(&self.log)
-    }
-
-    /// The intact event lines of a generation log. A final line missing
-    /// its terminating newline is a torn append (the process died
-    /// mid-write) and is dropped; a complete line that fails to parse is
-    /// real corruption and surfaces as [`RepoError::CorruptFrame`] with
-    /// the byte offset of the offending line's start.
-    pub(crate) fn read_log_file(path: &Path) -> Result<Vec<RepoEvent>, RepoError> {
-        if !path.exists() {
-            return Ok(Vec::new());
-        }
-        let text = std::fs::read_to_string(path).map_err(io_err)?;
-        let segment = segment_name(path);
-        let mut events = Vec::new();
-        let mut pos = 0usize;
-        for line in text.split_inclusive('\n') {
-            let at = pos;
-            pos += line.len();
-            let terminated = line.ends_with('\n');
-            let body = line.trim_end_matches(['\n', '\r']);
-            if body.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<RepoEvent>(body) {
-                Ok(event) => events.push(event),
-                // An unterminated final line is a torn append, never
-                // durable: drop it.
-                Err(_) if !terminated => break,
-                Err(e) => return Err(corrupt_jsonl_line(&segment, at as u64, &e)),
-            }
-        }
-        Ok(events)
-    }
-
-    /// How many deltas sit in the log beyond the last checkpoint.
-    ///
-    /// Counts intact (newline-terminated, non-empty) lines without
-    /// parsing any of them — the count is needed on hot open/monitoring
-    /// paths where deserialising every event just to discard it would
-    /// dominate. A torn final line (no terminating newline) is not
-    /// counted, exactly as a restore would drop it; a
-    /// complete-but-corrupt line still counts here and surfaces as an
-    /// error at `restore` time instead.
-    pub fn pending_events(&self) -> Result<usize, RepoError> {
-        let path = self.log_path();
-        if !path.exists() {
-            return Ok(0);
-        }
-        let bytes = std::fs::read(&path).map_err(io_err)?;
-        let mut count = 0usize;
-        let mut start = 0usize;
-        for (i, &b) in bytes.iter().enumerate() {
-            if b == b'\n' {
-                if bytes[start..i].iter().any(|c| !c.is_ascii_whitespace()) {
-                    count += 1;
-                }
-                start = i + 1;
-            }
-        }
-        Ok(count)
+        self.file_index += 1;
+        self.file_len = 0;
+        self.synced_len = None;
+        Ok(())
     }
 
     /// `restore()` plus the replayed event count, off a single read of
-    /// the log file (the open path of [`AutoCompactingEventLog`] needs
-    /// both and should not parse the pending tail twice).
+    /// the log (the open path of [`AutoCompactingEventLog`] needs both).
+    /// Reads follow the generation the on-disk manifest names, so they
+    /// stay consistent even if a foreign writer advanced it.
     fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError> {
-        let (base, log) = match Self::read_manifest_in(&self.dir)? {
+        let (base, log) = match read_manifest_in(&self.dir)? {
             Some(manifest) => (manifest.state, manifest.log),
-            None => (RepositorySnapshot::empty(""), self.log.clone()),
+            None => (RepositorySnapshot::empty(""), self.generation.clone()),
         };
-        let events = Self::read_log_file(&self.dir.join(log))?;
+        let events = EventLogBackend::read_generation_events(&self.dir, &log)?;
         Ok((replay(base, &events), events.len()))
     }
 }
 
-impl StorageBackend for EventLogBackend {
-    fn kind(&self) -> &'static str {
-        "event-log"
+impl EventLogBackend {
+    /// The checkpointed base state and current generation name of a log
+    /// directory, read without opening a writer (and therefore without
+    /// the open-time torn-tail repair): `(base, generation)` from the
+    /// manifest, or the empty state and generation 0 of whichever format
+    /// has written the directory (JSONL for a fresh one) when no
+    /// checkpoint exists yet. This is the read-side entry point replicas
+    /// tail from.
+    pub fn read_state_in(dir: &Path) -> Result<(RepositorySnapshot, String), RepoError> {
+        Ok(match read_manifest_in(dir)? {
+            Some(manifest) => (manifest.state, manifest.log),
+            None => (
+                RepositorySnapshot::empty(""),
+                unmanifested_generation(dir).unwrap_or_else(|| "events-0.jsonl".to_string()),
+            ),
+        })
     }
 
+    /// Every intact event of one generation in `dir`, in either format:
+    /// [`read_tail`] from offset 0. A torn tail is dropped; corruption is
+    /// the typed [`RepoError::CorruptFrame`].
+    pub fn read_generation_events(
+        dir: &Path,
+        generation: &str,
+    ) -> Result<Vec<RepoEvent>, RepoError> {
+        match read_tail(dir, generation, 0)? {
+            Some((events, _)) => Ok(events),
+            None => Err(RepoError::Persist(format!(
+                "log generation `{generation}` was removed while it was read"
+            ))),
+        }
+    }
+
+    /// Recover the durable state of a log directory purely by reading:
+    /// manifest base + replay of the intact records of the generation it
+    /// names, in either format. Unlike `open(dir)?.restore()` this never
+    /// mutates the directory (no torn-tail repair), so tests and tooling
+    /// can compute the expected fold of a directory that is concurrently
+    /// being tailed or deliberately left torn.
+    pub fn restore_dir(dir: &Path) -> Result<RepositorySnapshot, RepoError> {
+        let (base, generation) = Self::read_state_in(dir)?;
+        Ok(replay(
+            base,
+            &Self::read_generation_events(dir, &generation)?,
+        ))
+    }
+}
+
+impl<F: LogFormat> StorageBackend for LogBackend<F> {
+    fn kind(&self) -> &'static str {
+        F::KIND
+    }
+
+    /// One buffered write per file of the batch through the persistent
+    /// appender. Records go greedily into the current file, rolling to
+    /// a fresh one whenever the next would overflow the segment cap; a
+    /// record larger than the cap still gets a (solo) file — the cap
+    /// bounds file size, not event size.
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
         if events.is_empty() {
             return Ok(());
         }
-        let mut lines = String::new();
+        // Make sure file_len is real before sizing against the cap.
+        self.appender()?;
+        let mut pending = Vec::new();
         for event in events {
-            // Compact JSON keeps each event on one line (newlines inside
-            // strings are escaped by the serialiser).
-            lines.push_str(
-                &serde_json::to_string(event)
-                    .map_err(|e| RepoError::Persist(format!("cannot serialise event: {e}")))?,
-            );
-            lines.push('\n');
-        }
-        // One buffered write of the whole batch through the persistent
-        // appender — the open cost was paid once at the generation start.
-        let mode = self.durability;
-        let mut synced = None;
-        {
-            let file = self.appender()?;
-            file.write_all(lines.as_bytes())
-                .map_err(|e| RepoError::persist_io("append event log", e))?;
-            if mode == DurabilityMode::PerBatch {
-                // "Durably append" means surviving power loss, not just a
-                // process crash: flush the page cache before reporting
-                // success. The append grew the segment, so the full
-                // `sync_all` is required (the new length is metadata).
-                file.sync_all()
-                    .map_err(|e| RepoError::persist_io("fsync event log", e))?;
-                synced = Some(
-                    file.metadata()
-                        .map_err(|e| RepoError::persist_io("stat event log", e))?
-                        .len(),
-                );
+            let before = pending.len();
+            F::encode(event, &mut pending)?;
+            let start = self.file_len + before as u64;
+            if start > 0 && start + (pending.len() - before) as u64 > self.segment_bytes {
+                let record = pending.split_off(before);
+                self.write(&pending)?;
+                self.roll()?;
+                pending = record;
             }
         }
-        if let Some(len) = synced {
-            self.fsync_stats.sync_all += 1;
-            self.synced_len = Some(len);
-        }
-        if mode == DurabilityMode::GroupCommit {
-            self.dirty = true;
+        self.write(&pending)?;
+        match self.durability {
+            DurabilityMode::PerBatch => {
+                // "Durably append" means surviving power loss, not just
+                // a process crash. The append grew the file, so the full
+                // `sync_all` is required (the new length is metadata).
+                self.appender()?
+                    .sync_all()
+                    .map_err(|e| RepoError::persist_io("fsync event log", e))?;
+                self.fsync_stats.sync_all += 1;
+                self.synced_len = Some(self.file_len);
+            }
+            DurabilityMode::GroupCommit => self.dirty = true,
         }
         Ok(())
     }
 
-    /// Crash-safe compaction. The new manifest names a *fresh* log
+    /// Crash-safe compaction. The new manifest names a *fresh*
     /// generation, so the manifest rename is the single commit point:
     /// dying before it leaves the old manifest + old log (the
     /// pre-checkpoint state, fully replayable); dying after it leaves the
-    /// new manifest whose log is empty or absent (exactly the
-    /// checkpointed state). The superseded generation's log is removed
-    /// opportunistically afterwards.
+    /// new manifest whose generation is empty or absent (exactly the
+    /// checkpointed state). The superseded generation's files are
+    /// removed opportunistically afterwards.
     fn checkpoint(&mut self, snapshot: &RepositorySnapshot) -> Result<(), RepoError> {
-        let old_log = self.log.clone();
-        let generation: u64 = old_log
+        let n: u64 = self
+            .generation
             .strip_prefix("events-")
-            .and_then(|s| s.strip_suffix(".jsonl"))
+            .and_then(|s| s.strip_suffix(F::SUFFIX))
             .and_then(|s| s.parse().ok())
             .unwrap_or(0);
-        let new_log = format!("events-{}.jsonl", generation + 1);
         let manifest = Manifest {
-            log: new_log.clone(),
+            log: format!("events-{}{}", n + 1, F::SUFFIX),
             state: snapshot.clone(),
         };
         write_manifest_in(&self.dir, &manifest)?;
-        self.log = new_log;
+        let old = std::mem::replace(&mut self.generation, manifest.log);
         // The generation rolled: drop the superseded appender (the next
-        // `record` opens one on the fresh log) and forget any staged
-        // bytes — the manifest's snapshot supersedes them, so they need
-        // no fsync of their own.
+        // `record` opens one on the fresh generation) and forget any
+        // staged bytes — the manifest's snapshot supersedes them, so
+        // they need no fsync of their own. The fresh file has never been
+        // fsynced.
+        self.file_index = 0;
+        self.file_len = 0;
         self.appender = None;
         self.dirty = false;
-        // The fresh generation has never been fsynced.
         self.synced_len = None;
         // Past the commit point: the old generation is garbage now.
-        std::fs::remove_file(self.dir.join(old_log)).ok();
+        for name in F::files(&self.dir, &old).unwrap_or_default() {
+            std::fs::remove_file(self.dir.join(name)).ok();
+        }
         Ok(())
     }
 
-    /// Recover from the on-disk manifest, replaying the log generation
-    /// *the manifest names* — so reads are consistent even if a foreign
-    /// writer advanced the generation behind this instance's back.
     fn restore(&self) -> Result<RepositorySnapshot, RepoError> {
-        let (base, log) = match Self::read_manifest_in(&self.dir)? {
-            Some(manifest) => (manifest.state, manifest.log),
-            None => (RepositorySnapshot::empty(""), self.log.clone()),
-        };
-        Ok(replay(base, &Self::read_log_file(&self.dir.join(log))?))
+        self.restore_with_pending().map(|(state, _)| state)
     }
 
     /// One fsync covering every batch staged since the last call. A no-op
     /// when nothing is staged — including the whole
     /// [`DurabilityMode::PerBatch`] regime, where `record` already synced.
-    ///
-    /// The fsync is the full `sync_all` when the segment grew since the
-    /// last fsync (the new length must reach disk), and the cheaper
-    /// `sync_data` when the length is unchanged — then the durable size
-    /// metadata is already correct and only data pages need flushing.
-    /// [`EventLogBackend::fsync_stats`] counts the split.
+    /// Mid-window rolls already fsynced the sealed files, so only the
+    /// live one needs syncing: the full `sync_all` when it grew since the
+    /// last fsync (the new length must reach disk), the cheaper
+    /// `sync_data` when its length is unchanged. [`Self::fsync_stats`]
+    /// counts the split.
     fn flush_durable(&mut self) -> Result<(), RepoError> {
         if !self.dirty {
             return Ok(());
         }
-        let last_synced = self.synced_len;
-        let (len, data_only) = {
-            let file = self.appender()?;
-            let len = file
-                .metadata()
-                .map_err(|e| RepoError::persist_io("stat event log", e))?
-                .len();
-            if last_synced == Some(len) {
-                file.sync_data()
-                    .map_err(|e| RepoError::persist_io("fdatasync event log", e))?;
-            } else {
-                file.sync_all()
-                    .map_err(|e| RepoError::persist_io("fsync event log", e))?;
-            }
-            (len, last_synced == Some(len))
-        };
+        let len = self.file_len;
+        let data_only = self.synced_len == Some(len);
+        let file = self.appender()?;
         if data_only {
+            file.sync_data()
+                .map_err(|e| RepoError::persist_io("fdatasync event log", e))?;
             self.fsync_stats.sync_data += 1;
         } else {
+            file.sync_all()
+                .map_err(|e| RepoError::persist_io("fsync event log", e))?;
             self.fsync_stats.sync_all += 1;
             self.synced_len = Some(len);
         }
@@ -862,64 +1161,6 @@ impl StorageBackend for EventLogBackend {
 
     fn tail_repaired(&self) -> Option<TailRepaired> {
         self.tail_repaired.clone()
-    }
-}
-
-/// A generation-rolling log backend [`AutoCompactingEventLog`] can
-/// wrap: both on-disk log formats (JSONL lines, binary frames) checkpoint
-/// by rolling to a fresh generation behind one manifest rename, so the
-/// compaction policy layer is format-agnostic.
-pub trait GenerationLog: StorageBackend + std::fmt::Debug + Sized {
-    /// Open (or create) a log of this format under `dir`.
-    fn open_dir(dir: &Path) -> Result<Self, RepoError>;
-
-    /// `restore()` plus the replayed event count, off a single read of
-    /// the log (the compacting wrapper's open path needs both and should
-    /// not parse the pending tail twice).
-    fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError>;
-
-    /// Remove superseded generations (strays from crashes in the
-    /// checkpoint window). Returns how many files were removed.
-    fn prune_stale_generations(&self) -> Result<usize, RepoError>;
-
-    /// The [`StorageBackend::kind`] of the compacting wrapper around
-    /// this format.
-    fn compacted_kind() -> &'static str;
-}
-
-impl GenerationLog for EventLogBackend {
-    fn open_dir(dir: &Path) -> Result<EventLogBackend, RepoError> {
-        EventLogBackend::open(dir)
-    }
-
-    fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError> {
-        EventLogBackend::restore_with_pending(self)
-    }
-
-    fn prune_stale_generations(&self) -> Result<usize, RepoError> {
-        EventLogBackend::prune_stale_generations(self)
-    }
-
-    fn compacted_kind() -> &'static str {
-        "event-log+auto-compact"
-    }
-}
-
-impl GenerationLog for crate::binlog::BinaryLogBackend {
-    fn open_dir(dir: &Path) -> Result<crate::binlog::BinaryLogBackend, RepoError> {
-        crate::binlog::BinaryLogBackend::open(dir)
-    }
-
-    fn restore_with_pending(&self) -> Result<(RepositorySnapshot, usize), RepoError> {
-        crate::binlog::BinaryLogBackend::restore_with_pending(self)
-    }
-
-    fn prune_stale_generations(&self) -> Result<usize, RepoError> {
-        crate::binlog::BinaryLogBackend::prune_stale_generations(self)
-    }
-
-    fn compacted_kind() -> &'static str {
-        "binary-log+auto-compact"
     }
 }
 
@@ -956,12 +1197,11 @@ impl Default for CompactionPolicy {
 /// generations (including strays from crashes mid-checkpoint) are pruned
 /// after every checkpoint.
 ///
-/// Generic over the log format (any [`GenerationLog`]): the default is
-/// the JSONL [`EventLogBackend`], and [`AutoCompactingBinaryLog`] names
-/// the [`crate::binlog::BinaryLogBackend`] instantiation.
+/// Generic over the [`LogFormat`]: the default is [`Jsonl`], and
+/// [`AutoCompactingBinaryLog`] names the [`Binary`] instantiation.
 #[derive(Debug)]
-pub struct AutoCompactingEventLog<B: GenerationLog = EventLogBackend> {
-    inner: B,
+pub struct AutoCompactingEventLog<F: LogFormat = Jsonl> {
+    inner: LogBackend<F>,
     policy: CompactionPolicy,
     /// The fold of everything durably recorded so far — exactly what
     /// `restore` would return.
@@ -978,7 +1218,7 @@ pub struct AutoCompactingEventLog<B: GenerationLog = EventLogBackend> {
 /// An auto-compacting binary segmented log
 /// ([`crate::binlog::BinaryLogBackend`] under a [`CompactionPolicy`]);
 /// open with [`AutoCompactingEventLog::open_with`].
-pub type AutoCompactingBinaryLog = AutoCompactingEventLog<crate::binlog::BinaryLogBackend>;
+pub type AutoCompactingBinaryLog = AutoCompactingEventLog<Binary>;
 
 impl AutoCompactingEventLog {
     /// Open (or create) a JSONL event log under `dir` with `policy`. A
@@ -994,13 +1234,13 @@ impl AutoCompactingEventLog {
     }
 }
 
-impl<B: GenerationLog> AutoCompactingEventLog<B> {
-    /// Open (or create) a log of format `B` under `dir` with `policy`.
+impl<F: LogFormat> AutoCompactingEventLog<F> {
+    /// Open (or create) a log of format `F` under `dir` with `policy`.
     pub fn open_with(
         dir: impl Into<PathBuf>,
         policy: CompactionPolicy,
-    ) -> Result<AutoCompactingEventLog<B>, RepoError> {
-        let inner = B::open_dir(&dir.into())?;
+    ) -> Result<AutoCompactingEventLog<F>, RepoError> {
+        let inner = LogBackend::<F>::open(dir)?;
         let (state, since_checkpoint) = inner.restore_with_pending()?;
         let mut backend = AutoCompactingEventLog {
             inner,
@@ -1029,7 +1269,7 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
     }
 
     /// The wrapped log backend.
-    pub fn inner(&self) -> &B {
+    pub fn inner(&self) -> &LogBackend<F> {
         &self.inner
     }
 
@@ -1063,7 +1303,7 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
             health.report(
                 component,
                 HealthReport::Compaction {
-                    kind: B::compacted_kind().to_string(),
+                    kind: F::COMPACTED_KIND.to_string(),
                     checkpoints: self.checkpoints,
                     pruned_files: self.pruned_files,
                 },
@@ -1073,9 +1313,9 @@ impl<B: GenerationLog> AutoCompactingEventLog<B> {
     }
 }
 
-impl<B: GenerationLog> StorageBackend for AutoCompactingEventLog<B> {
+impl<F: LogFormat> StorageBackend for AutoCompactingEventLog<F> {
     fn kind(&self) -> &'static str {
-        B::compacted_kind()
+        F::COMPACTED_KIND
     }
 
     fn record(&mut self, events: &[RepoEvent]) -> Result<(), RepoError> {
@@ -1516,7 +1756,9 @@ mod tests {
         text.push_str("   \n{\"Commented\":{\"id\":\"co");
         std::fs::write(&log, text).unwrap();
         // The intact-line count is pinned to what full parsing yields.
-        let parsed = EventLogBackend::read_log_file(&log).unwrap().len();
+        let parsed = EventLogBackend::read_generation_events(&dir, "events-0.jsonl")
+            .unwrap()
+            .len();
         assert_eq!(backend.pending_events().unwrap(), parsed);
         assert!(parsed > 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -8,12 +8,15 @@
 //! directories incrementally, auto-compaction checkpoints them, and a
 //! `CrashingBackend` fuse leaves a recoverable directory behind.
 
-use bx::core::binlog::BinaryLogBackend;
-use bx::core::replica::{LogTail, Replica};
+use std::path::{Path, PathBuf};
+
+use bx::core::binlog::{Binary, BinaryLogBackend};
+use bx::core::replica::{Federation, LogTail, Replica, SourceId};
 use bx::core::storage::{
-    AutoCompactingBinaryLog, CompactionPolicy, EventLogBackend, StorageBackend,
+    AutoCompactingBinaryLog, CompactionPolicy, EventLogBackend, Jsonl, LogBackend, LogFormat,
+    StorageBackend,
 };
-use bx::core::{Principal, RepoError};
+use bx::core::{Principal, RecoveryPolicy, RepoError, RetryPolicy};
 use bx_testkit::faults::CrashingBackend;
 use bx_testkit::ops::{apply_ops, scripted_repository, unique_temp_dir, valid_entry, RepoOp};
 
@@ -159,22 +162,45 @@ fn a_vandalised_middle_jsonl_line_is_corrupt_frame_at_its_segment() {
     assert_eq!(Replica::open(&dir).unwrap_err(), err);
 }
 
-#[test]
-fn any_truncation_of_the_live_segment_restores_a_clean_prefix() {
-    let (dir, segments) = recorded_dir("binlog-truncate", None);
-    let generation = EventLogBackend::read_state_in(&dir).unwrap().1;
-    let full = EventLogBackend::read_generation_events(&dir, &generation).unwrap();
-    let path = dir.join(&segments[0]);
+/// A recorded JSONL log directory (one generation, no manifest).
+fn recorded_jsonl_dir(tag: &str) -> PathBuf {
+    let dir = unique_temp_dir(tag);
+    let repo = scripted_repository();
+    apply_ops(&repo, &script(&["Composers", "Dates", "Heaters"]));
+    let mut backend = EventLogBackend::open(&dir).unwrap();
+    backend.record(&repo.drain_events()).unwrap();
+    dir
+}
+
+/// Cut the live file `live` of `dir` at every length. Each cut must
+/// leave a prefix of the history, and the three ways to read it must
+/// agree on that prefix: `restore_dir`, a replica's open, and a writer's
+/// open after its torn-tail repair — whose pending count is the number
+/// of events in the prefix.
+fn assert_every_cut_restores_one_prefix<F: LogFormat>(dir: &Path, live: &str) {
+    let generation = EventLogBackend::read_state_in(dir).unwrap().1;
+    let full = EventLogBackend::read_generation_events(dir, &generation).unwrap();
+    let path = dir.join(live);
     let pristine = std::fs::read(&path).unwrap();
     let mut prefix_lengths = std::collections::BTreeSet::new();
     for cut in (0..pristine.len()).rev() {
         std::fs::write(&path, &pristine[..cut]).unwrap();
-        let events = EventLogBackend::read_generation_events(&dir, &generation)
+        let events = EventLogBackend::read_generation_events(dir, &generation)
             .unwrap_or_else(|e| panic!("truncation at {cut} must stay readable, got {e}"));
         assert_eq!(
             events,
             full[..events.len()],
             "truncation at byte {cut} must yield a prefix of the history"
+        );
+        let restored = EventLogBackend::restore_dir(dir).unwrap();
+        let replica = Replica::open(dir).unwrap();
+        assert_eq!(replica.snapshot(), &restored, "replica at cut {cut}");
+        let writer = LogBackend::<F>::open(dir).unwrap();
+        assert_eq!(writer.restore().unwrap(), restored, "writer at cut {cut}");
+        assert_eq!(
+            writer.pending_events().unwrap(),
+            events.len(),
+            "pending count at cut {cut}"
         );
         prefix_lengths.insert(events.len());
     }
@@ -184,9 +210,67 @@ fn any_truncation_of_the_live_segment_restores_a_clean_prefix() {
     );
     std::fs::write(&path, &pristine).unwrap();
     assert_eq!(
-        EventLogBackend::read_generation_events(&dir, &generation).unwrap(),
+        EventLogBackend::read_generation_events(dir, &generation).unwrap(),
         full
     );
+}
+
+#[test]
+fn any_truncation_of_the_live_segment_restores_a_clean_prefix() {
+    let (dir, segments) = recorded_dir("binlog-truncate", None);
+    assert_every_cut_restores_one_prefix::<Binary>(&dir, &segments[0]);
+    std::fs::remove_dir_all(&dir).ok();
+    let dir = recorded_jsonl_dir("jsonl-truncate");
+    assert_every_cut_restores_one_prefix::<Jsonl>(&dir, "events-0.jsonl");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A byte that is not UTF-8 in a JSONL log is corruption like any other:
+/// `CorruptFrame` at the start of the line that holds it, from
+/// `restore_dir` and a replica open alike, which a `SalvagePrefix`
+/// federation truncates at.
+#[test]
+fn a_non_utf8_byte_in_a_jsonl_log_is_corrupt_frame_at_its_line() {
+    let dir = unique_temp_dir("jsonl-non-utf8");
+    let repo = scripted_repository();
+    apply_ops(&repo, &script(&["Composers", "Dates"]));
+    let events = repo.drain_events();
+    let (kept, rest) = events.split_at(events.len() / 2);
+    let mut backend = EventLogBackend::open(&dir).unwrap();
+    backend.record(kept).unwrap();
+    let mut federation = Federation::open("fed", vec![(SourceId::new("a"), dir.clone())]).unwrap();
+    federation.set_retry_policy(RetryPolicy {
+        quarantine_after: 1,
+        ..RetryPolicy::immediate()
+    });
+    let clean = federation.snapshot().clone();
+
+    let log = dir.join("events-0.jsonl");
+    let boundary = std::fs::metadata(&log).unwrap().len();
+    backend.record(rest).unwrap();
+    let mut bytes = std::fs::read(&log).unwrap();
+    bytes[boundary as usize + 5] = 0xFF;
+    std::fs::write(&log, &bytes).unwrap();
+
+    let err = EventLogBackend::restore_dir(&dir).unwrap_err();
+    assert!(
+        matches!(err, RepoError::CorruptFrame { ref segment, offset, .. }
+            if segment == "events-0.jsonl" && offset == boundary),
+        "expected CorruptFrame at the line start {boundary}, got {err:?}"
+    );
+    assert_eq!(Replica::open(&dir).unwrap_err(), err);
+
+    let outcome = federation.catch_up();
+    assert_eq!(outcome.errors.len(), 1);
+    assert_eq!(outcome.errors[0].1, err);
+    federation.set_recovery_policy(RecoveryPolicy::SalvagePrefix);
+    let outcome = federation.catch_up();
+    assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
+    assert_eq!(outcome.salvaged.len(), 1);
+    assert_eq!(outcome.salvaged[0].1.truncated_at, Some(boundary));
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), boundary);
+    assert_eq!(federation.snapshot(), &clean, "the intact prefix survives");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
